@@ -27,7 +27,7 @@ from .montecarlo import (
     report_rows,
     report_to_json,
 )
-from .panel import load_csv
+from .panel import load_csv, read_header
 from .solver import fit_qr, score_matrix
 
 __all__ = ["main", "build_parser"]
@@ -54,21 +54,12 @@ def _resolve_threads(value: int | None) -> int:
     return 1
 
 
-def _read_header(path: str) -> list[str]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            header = next(csv.reader(fh))
-        except StopIteration:
-            return []
-    return [c.strip() for c in header]
-
-
 def _fit_schema(args: argparse.Namespace) -> dict:
     if args.x_cols:
         x_cols = [c.strip() for c in args.x_cols.split(",") if c.strip()]
     else:
         reserved = {args.g_col, args.h_col, args.y_col}
-        x_cols = [c for c in _read_header(args.input) if c not in reserved]
+        x_cols = [c for c in read_header(args.input) if c not in reserved]
     return {"g": args.g_col, "h": args.h_col, "y": args.y_col, "x": x_cols}
 
 

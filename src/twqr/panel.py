@@ -10,6 +10,8 @@ given file always loads to the same array.
 from __future__ import annotations
 
 import csv
+import io
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +29,7 @@ __all__ = [
     "PanelArray",
     "ValidationReport",
     "load_csv",
+    "read_header",
     "write_csv",
     "validate",
 ]
@@ -139,6 +142,22 @@ def _parse_label(raw: str):
         return raw
 
 
+def read_header(path) -> list[str]:
+    """Column names from a CSV's first record, surrounding whitespace stripped.
+
+    Raises
+    ------
+    EmptyFile
+        The file holds no record at all.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            header = next(csv.reader(fh))
+        except StopIteration:
+            raise EmptyFile(f"{path}: no header row") from None
+    return [c.strip() for c in header]
+
+
 def load_csv(path, schema: dict) -> PanelArray:
     """Read a long-format CSV with one row per (g, h) cell.
 
@@ -158,19 +177,77 @@ def load_csv(path, schema: dict) -> PanelArray:
     x_cols = list(schema["x"])
     if not x_cols:
         raise InputError("schema must name at least one x column")
+    header = read_header(path)
+    columns = [g_col, h_col, y_col, *x_cols]
+    for col in columns:
+        if col not in header:
+            raise MissingColumn(col)
+    pos = {col: header.index(col) for col in columns}
+    try:
+        return _load_columns(path, pos, columns)
+    except ValueError:
+        # Ragged or whitespace-only rows, or numerals that only float()
+        # accepts: the row-wise pass reads these or names the bad field.
+        return _load_rows(path, pos, columns)
+
+
+def _dense_labels(raw: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """First-appearance indices and labels for a column of raw label strings.
+
+    Only distinct spellings are parsed; spellings that parse to the same
+    label, such as ``1`` and `` 1``, share one index.
+    """
+    spellings, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
+    index = np.empty(len(spellings), dtype=np.intp)
+    labels: dict = {}
+    for k in np.argsort(first):
+        index[k] = labels.setdefault(_parse_label(spellings[k]), len(labels))
+    return index[inverse], tuple(labels)
+
+
+def _load_columns(path, pos: dict, columns: list) -> PanelArray:
+    """Column-wise reader for well-formed files: one pass of numpy's C reader.
+
+    Raises ValueError when a field does not parse as numpy reads it; the
+    row-wise pass then decides.
+    """
+    values = [f"v{j}" for j in range(len(columns) - 2)]  # y, then each x
+    # object, not a fixed-width str dtype, which would drop trailing NULs
+    dtype = [("g", object), ("h", object), *((v, np.float64) for v in values)]
+    with open(path, newline="", encoding="utf-8") as fh:
+        next(csv.reader(fh))  # the header record, which may span lines
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            records = np.loadtxt(fh, dtype=dtype, usecols=[pos[c] for c in columns],
+                                 delimiter=",", quotechar='"', comments=None, ndmin=1)
+    if len(records) == 0:
+        raise EmptyFile(f"{path}: header only, no data rows")
+    g_idx, g_labels = _dense_labels(records["g"])
+    h_idx, h_labels = _dense_labels(records["h"])
+    _, first = np.unique(g_idx * len(h_labels) + h_idx, return_index=True)
+    if len(first) < len(g_idx):
+        repeats = np.ones(len(g_idx), dtype=bool)
+        repeats[first] = False
+        row = np.argmax(repeats)  # the first row that repeats an earlier cell
+        raise DuplicateCell(g_labels[g_idx[row]], h_labels[h_idx[row]])
+    return PanelArray(
+        G=len(g_labels),
+        H=len(h_labels),
+        g_idx=g_idx,
+        h_idx=h_idx,
+        y=records[values[0]],
+        x=np.column_stack([records[v] for v in values[1:]]),
+        g_labels=g_labels,
+        h_labels=h_labels,
+    )
+
+
+def _load_rows(path, pos: dict, columns: list) -> PanelArray:
+    """Row-at-a-time reader: the reference semantics and every ParseFailure."""
+    g_col, h_col, y_col, *x_cols = columns
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyFile(f"{path}: no header row") from None
-        header = [c.strip() for c in header]
-        pos = {}
-        for col in [g_col, h_col, y_col, *x_cols]:
-            if col not in header:
-                raise MissingColumn(col)
-            pos[col] = header.index(col)
-
+        next(reader, None)  # header
         g_map: dict = {}
         h_map: dict = {}
         seen: set = set()
@@ -180,21 +257,27 @@ def load_csv(path, schema: dict) -> PanelArray:
             if not row or all(not c.strip() for c in row):
                 continue
             nrow += 1
-            g_raw = _parse_label(row[pos[g_col]])
-            h_raw = _parse_label(row[pos[h_col]])
+
+            def _field(col: str) -> str:
+                try:
+                    return row[pos[col]]
+                except IndexError:
+                    raise ParseFailure(nrow, col, "") from None
+
+            def _num(col: str) -> float:
+                text = _field(col)
+                try:
+                    return float(text)
+                except ValueError:
+                    raise ParseFailure(nrow, col, text) from None
+
+            g_raw = _parse_label(_field(g_col))
+            h_raw = _parse_label(_field(h_col))
             if (g_raw, h_raw) in seen:
                 raise DuplicateCell(g_raw, h_raw)
             seen.add((g_raw, h_raw))
             gi = g_map.setdefault(g_raw, len(g_map))
             hi = h_map.setdefault(h_raw, len(h_map))
-
-            def _num(col: str) -> float:
-                text = row[pos[col]]
-                try:
-                    return float(text)
-                except (ValueError, IndexError):
-                    raise ParseFailure(nrow, col, text) from None
-
             g_idx.append(gi)
             h_idx.append(hi)
             ys.append(_num(y_col))
@@ -213,21 +296,45 @@ def load_csv(path, schema: dict) -> PanelArray:
     )
 
 
+_WRITE_CHUNK_ROWS = 10_000
+
+
+def _csv_field(value) -> str:
+    """``value`` rendered as csv.writer renders it within a multi-field row.
+
+    A CRLF terminator makes csv quote a bare carriage return too, which a
+    reader would otherwise take for the end of the row.
+    """
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow([value, ""])
+    return buf.getvalue()[:-3]  # drop the empty last field's ",\r\n"
+
+
 def write_csv(panel: PanelArray, path, schema: dict | None = None) -> None:
-    """Serialize a panel back to the long CSV format read by :func:`load_csv`."""
+    """Serialize a panel back to the long CSV format read by :func:`load_csv`.
+
+    Rows are formatted column by column in chunks of ten thousand; floats
+    are written with ``repr``, so they read back exactly.
+    """
     if schema is None:
         schema = {"g": "g", "h": "h", "y": "y", "x": [f"x{j + 1}" for j in range(panel.d)]}
     x_cols = list(schema["x"])
     if len(x_cols) != panel.d:
         raise DimensionMismatch("schema x column count differs from panel.d")
+    g_text = [_csv_field(label) for label in panel.g_labels]
+    h_text = [_csv_field(label) for label in panel.h_labels]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([schema["g"], schema["h"], schema["y"], *x_cols])
-        for g, h, yv, xv in zip(panel.g_idx, panel.h_idx, panel.y, panel.x):
-            writer.writerow(
-                [panel.g_labels[g], panel.h_labels[h], repr(float(yv)),
-                 *(repr(float(v)) for v in xv)]
-            )
+        csv.writer(fh, lineterminator="\n").writerow(
+            [schema["g"], schema["h"], schema["y"], *x_cols])
+        for start in range(0, panel.n, _WRITE_CHUNK_ROWS):
+            rows = slice(start, start + _WRITE_CHUNK_ROWS)
+            fields = [
+                map(g_text.__getitem__, panel.g_idx[rows].tolist()),
+                map(h_text.__getitem__, panel.h_idx[rows].tolist()),
+                map(repr, panel.y[rows].tolist()),
+                *(map(repr, col) for col in panel.x[rows].T.tolist()),
+            ]
+            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
 
 def validate(panel: PanelArray) -> ValidationReport:

@@ -131,6 +131,15 @@ def test_fit_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_fit_short_row_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "short.csv"
+    path.write_text("g,h,y,x1\na,1,1.0,1.0\na,2,2.0\n", encoding="utf-8")
+    assert main(["fit", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "ParseFailure" in err
+    assert "column 'x1' at data row 2" in err
+
+
 def test_simulate_single_rep_smoke(tmp_path, capsys):
     cfg = sim_config(tmp_path, reps=1)
     out = tmp_path / "out"

@@ -1,7 +1,11 @@
 """Tests for CSV ingestion, panel containers, and the validation pass."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from helpers import grid_panel
@@ -14,8 +18,9 @@ from twqr.errors import (
     MissingColumn,
     ParseFailure,
 )
+from twqr import panel as panel_module
 from twqr.montecarlo import DgpWeights, MonteCarloConfig, generate_dgp
-from twqr.panel import PanelArray, load_csv, validate, write_csv
+from twqr.panel import PanelArray, load_csv, read_header, validate, write_csv
 
 SCHEMA = {"g": "g", "h": "h", "y": "y", "x": ["x1"]}
 
@@ -209,3 +214,140 @@ def test_validate_warns_single_cluster():
                        y=np.arange(3.0), x=np.ones((3, 1)))
     report = validate(panel)
     assert any("G >= 2" in m for m in report.messages)
+
+
+def test_load_csv_short_row_is_a_parse_failure(tmp_path):
+    path = tmp_path / "p.csv"
+    write_lines(path, ["g,h,y,x1", "a,1,1.0,1.0", "a,2,2.0"])
+    with pytest.raises(ParseFailure) as err:
+        load_csv(path, SCHEMA)
+    assert (err.value.row, err.value.column, err.value.value) == (2, "x1", "")
+    write_lines(path, ["g,h,y,x1", "a"])
+    with pytest.raises(ParseFailure) as err:
+        load_csv(path, SCHEMA)
+    assert (err.value.row, err.value.column, err.value.value) == (1, "h", "")
+
+
+def test_read_header_strips_names_and_rejects_empty_file(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text(' g ,h\t,y\na,1,1.0\n', encoding="utf-8")
+    assert read_header(path) == ["g", "h", "y"]
+    path.write_text("", encoding="utf-8")
+    with pytest.raises(EmptyFile):
+        read_header(path)
+
+
+# --- columnar ingest against the row-wise reference pass ---
+
+def outcome(path, schema=SCHEMA):
+    """What load_csv returns or raises, in a form that compares exactly."""
+    try:
+        p = load_csv(path, schema)
+    except InputError as exc:
+        return type(exc), str(exc)
+    return (p.G, p.H, repr(p.g_labels), repr(p.h_labels), p.x.shape,
+            p.g_idx.tobytes(), p.h_idx.tobytes(), p.y.tobytes(), p.x.tobytes())
+
+
+def row_wise(path, schema=SCHEMA):
+    """outcome() with the columnar pass disabled."""
+    with mock.patch.object(panel_module, "_load_columns", side_effect=ValueError):
+        return outcome(path, schema)
+
+
+def columnar(path, schema=SCHEMA):
+    """outcome() that fails if the row-wise pass runs."""
+    with mock.patch.object(panel_module, "_load_rows",
+                           side_effect=AssertionError("row-wise pass ran")):
+        return outcome(path, schema)
+
+
+PARITY_FILES = {
+    # name: (file text, read by the columnar pass)
+    "quoted_commas": ('g,h,y,x1\n"a,b",1,1.0,2.0\n"c ""d""",1,3.0,4.0\n'
+                      '"a,b",2,"5.5",6.0\n', True),
+    "crlf": ("g,h,y,x1\r\na,1,1.0,2.0\r\nb,1,3.0,4.0\r\n", True),
+    "blank_rows": ("g,h,y,x1\n   \na,1,1.0,2.0\n,,,\n\t, ,\nb,1,3.0,4.0\n", False),
+    "hash_row_is_data": ("g,h,y,x1\n#a,1,1.0,2.0\nb,1,3.0,4.0\n", True),
+    "underscore_numerals": ("g,h,y,x1\na,1,1_0,2.0\nb,1,3.0,4_000.5\n", False),
+    "mixed_labels": ("g,h,y,x1\n1,a,1.0,2.0\n 1,b,3.0,4.0\nx,a,5.0,6.0\n"
+                     "01 ,c,7.0,8.0\nx, b,9.0,1.0\n", True),
+    "parse_failure_after_blanks": ("g,h,y,x1\n\na,1,1.0,2.0\n  \n\nb,1,oops,4.0\n", False),
+    "duplicates_out_of_flat_order": ("g,h,y,x1\na,1,1.0,2.0\na,2,1.0,2.0\nb,1,1.0,2.0\n"
+                                     "b,2,1.0,2.0\nb,2,1.0,2.0\na,1,1.0,2.0\n", True),
+    "single_row": ("g,h,y,x1\na,1,1.0,2.0\n", True),
+    "nul_in_label": ("g,h,y,x1\na\x00,1,1.0,2.0\na,1,3.0,4.0\n", True),
+    "header_spans_lines": ('g,h,y,x1,"note\nmore"\na,1,1.0,2.0,z\nb,1,3.0,4.0,z\n', True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_FILES))
+def test_columnar_matches_row_wise(tmp_path, name):
+    text, fast = PARITY_FILES[name]
+    path = tmp_path / "p.csv"
+    path.write_bytes(text.encode("utf-8"))
+    expected = row_wise(path)
+    assert (columnar(path) if fast else outcome(path)) == expected
+
+
+def test_columnar_edge_cases_read_as_intended(tmp_path):
+    def load(name):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(PARITY_FILES[name][0].encode("utf-8"))
+        return path
+
+    panel = load_csv(load("quoted_commas"), SCHEMA)
+    assert panel.g_labels == ("a,b", 'c "d"')
+    assert_array_equal(panel.y, [1.0, 3.0, 5.5])
+    assert load_csv(load("hash_row_is_data"), SCHEMA).g_labels == ("#a", "b")
+    assert load_csv(load("blank_rows"), SCHEMA).n == 2
+    assert_array_equal(load_csv(load("underscore_numerals"), SCHEMA).x[:, 0], [2.0, 4000.5])
+    panel = load_csv(load("mixed_labels"), SCHEMA)
+    assert panel.g_labels == (1, "x")
+    assert panel.h_labels == ("a", "b", "c")
+    assert_array_equal(panel.g_idx, [0, 0, 1, 0, 1])
+    with pytest.raises(ParseFailure) as err:
+        load_csv(load("parse_failure_after_blanks"), SCHEMA)
+    assert (err.value.row, err.value.column, err.value.value) == (2, "y", "oops")
+    # the first row in file order that repeats a cell, not the lowest cell
+    with pytest.raises(DuplicateCell) as dup:
+        load_csv(load("duplicates_out_of_flat_order"), SCHEMA)
+    assert (dup.value.g, dup.value.h) == ("b", 2)
+    assert load_csv(load("nul_in_label"), SCHEMA).g_labels == ("a\x00", "a")
+    panel = load_csv(load("single_row"), SCHEMA)
+    assert (panel.G, panel.H, panel.n) == (1, 1, 1)
+
+
+labels = st.one_of(st.integers(-3, 30),
+                   st.text(st.characters(blacklist_categories=("Cs",)), max_size=4))
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def small_panels(draw):
+    g_labels = draw(st.lists(labels, min_size=1, max_size=4, unique=True))
+    h_labels = draw(st.lists(labels, min_size=1, max_size=4, unique=True))
+    G, H, d = len(g_labels), len(h_labels), draw(st.integers(1, 3))
+    cells = draw(st.lists(st.integers(0, G * H - 1), min_size=1, max_size=G * H, unique=True))
+    n = len(cells)
+    used_g = sorted({c // H for c in cells})
+    used_h = sorted({c % H for c in cells})
+    return PanelArray(
+        G=len(used_g), H=len(used_h),
+        g_idx=[used_g.index(c // H) for c in cells],
+        h_idx=[used_h.index(c % H) for c in cells],
+        y=draw(st.lists(finite, min_size=n, max_size=n)),
+        x=np.reshape(draw(st.lists(finite, min_size=n * d, max_size=n * d)), (n, d)),
+        g_labels=tuple(g_labels[g] for g in used_g),
+        h_labels=tuple(h_labels[h] for h in used_h),
+    )
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(panel=small_panels())
+def test_columnar_matches_row_wise_on_written_panels(tmp_path, panel):
+    path = tmp_path / "p.csv"
+    write_csv(panel, path)
+    schema = {"g": "g", "h": "h", "y": "y", "x": [f"x{j + 1}" for j in range(panel.d)]}
+    assert columnar(path, schema) == row_wise(path, schema)
