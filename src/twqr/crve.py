@@ -3,8 +3,9 @@
 The two-way "meat" sums score cross-products within rows, within columns,
 and on the diagonal, eigenvalue-corrects the two off-diagonal blocks, and
 adds the pieces. One-way and intersection-only comparators reuse the same
-building blocks. The sandwich combines the meat with the kernel Jacobian
-through a single Cholesky factorization.
+building blocks: each estimator's meat is a fixed sum of them. The sandwich
+combines the meat with the kernel Jacobian through a single Cholesky
+factorization.
 
 Normalization divides by the squared realized cell count n^2, which equals
 (GH)^2 on complete grids; pair sums range over pairs of present cells only.
@@ -13,6 +14,7 @@ Normalization divides by the squared realized cell count n^2, which equals
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,55 +112,66 @@ def evc(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cluster_sums(scores: ScoreMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column sums of scores: shapes (G, d) and (H, d)."""
-    d = scores.d
-    sg = np.zeros((scores.G, d))
-    sh = np.zeros((scores.H, d))
-    for k in range(d):
-        sg[:, k] = np.bincount(scores.g_idx, weights=scores.scores[:, k],
-                               minlength=scores.G)
-        sh[:, k] = np.bincount(scores.h_idx, weights=scores.scores[:, k],
-                               minlength=scores.H)
-    return sg, sh
+# Blocks each estimator's meat adds, in summation order. "row"/"col" are the
+# one-way cluster sums with the diagonal included, "I"/"II" the same sums
+# without it after eigenvalue correction.
+_TOTALS = {
+    CrveKind.CTW: ("I", "II", "diag"),
+    CrveKind.CG: ("row",),
+    CrveKind.CH: ("col",),
+    CrveKind.CI: ("diag",),
+    CrveKind.CTW_II: ("row", "col"),
+}
+
+_ROW_TOO_FEW = "row clustering requires G >= 2"
+_COL_TOO_FEW = "column clustering requires H >= 2"
+# Margins each estimator needs at least two clusters in, checked in order,
+# with the error a shortfall raises.
+_NEEDS_TWO = {
+    CrveKind.CTW: {"GH": "two-way CRVE requires G >= 2 and H >= 2"},
+    CrveKind.CG: {"G": _ROW_TOO_FEW},
+    CrveKind.CH: {"H": _COL_TOO_FEW},
+    CrveKind.CI: {},
+    CrveKind.CTW_II: {"G": _ROW_TOO_FEW, "H": _COL_TOO_FEW},
+}
 
 
-def omega_ctw(scores: ScoreMatrix) -> OmegaComponents:
-    """Two-way meat: corrected row and column sums plus the diagonal.
+def _cluster_sums(psi: np.ndarray, idx: np.ndarray, count: int) -> np.ndarray:
+    """Per-cluster score sums, shape (count, d), from one flat bincount."""
+    d = psi.shape[1]
+    flat = ((idx * d)[:, None] + np.arange(d)).ravel()
+    return np.bincount(flat, weights=psi.ravel(), minlength=count * d).reshape(count, d)
 
-    Raw components use the identity ``sum_{h != h'} psi_gh psi_gh'^T =
-    (sum_h psi_gh)(sum_h psi_gh)^T - sum_h psi_gh psi_gh^T`` per row (and
-    symmetrically per column), so assembly is O(n d^2).
+
+def omega_variant(scores: ScoreMatrix, kind: CrveKind) -> OmegaComponents:
+    """Meat for any estimator family: a fixed sum of shared blocks.
+
+    CG/CH are the full one-way cluster sums (PSD by construction), CI the
+    diagonal alone, CTW_II the sum of both one-way matrices (PSD without
+    eigenvalue correction, diagonal counted twice), CTW the corrected
+    two-way assembly. Raw off-diagonal blocks use the identity
+    ``sum_{h != h'} psi_gh psi_gh'^T = (sum_h psi_gh)(sum_h psi_gh)^T -
+    sum_h psi_gh psi_gh^T`` per row (and symmetrically per column), so
+    assembly is O(n d^2).
     """
-    if scores.G < 2 or scores.H < 2:
-        raise TooFewClusters("two-way CRVE requires G >= 2 and H >= 2")
-    return _assemble(scores, CrveKind.CTW)
-
-
-def _assemble(scores: ScoreMatrix, kind: CrveKind) -> OmegaComponents:
-    n = scores.n
-    norm2 = float(n) ** 2
+    kind = CrveKind(kind)
+    for margins, message in _NEEDS_TWO[kind].items():
+        if min(getattr(scores, m) for m in margins) < 2:
+            raise TooFewClusters(message)
+    norm2 = float(scores.n) ** 2
     psi = scores.scores
+    sg = _cluster_sums(psi, scores.g_idx, scores.G)
+    sh = _cluster_sums(psi, scores.h_idx, scores.H)
     diag = psi.T @ psi / norm2
-    sg, sh = _cluster_sums(scores)
-    row_full = sg.T @ sg / norm2   # one-way g sum, diagonal included
-    col_full = sh.T @ sh / norm2
-    i_raw = row_full - diag
-    ii_raw = col_full - diag
+    row = sg.T @ sg / norm2
+    col = sh.T @ sh / norm2
+    i_raw = row - diag
+    ii_raw = col - diag
     i_evc, clip_i = _evc_counted(i_raw)
     ii_evc, clip_ii = _evc_counted(ii_raw)
-    if kind is CrveKind.CTW:
-        total = i_evc + ii_evc + diag
-    elif kind is CrveKind.CG:
-        total = row_full
-    elif kind is CrveKind.CH:
-        total = col_full
-    elif kind is CrveKind.CI:
-        total = diag
-    elif kind is CrveKind.CTW_II:
-        total = row_full + col_full
-    else:  # pragma: no cover
-        raise ValueError(f"unknown kind {kind}")
+    blocks = {"I": i_evc, "II": ii_evc, "diag": diag, "row": row, "col": col}
+    # reduce, not sum: sum's 0 + x would turn -0.0 entries into 0.0
+    total = functools.reduce(np.add, (blocks[b] for b in _TOTALS[kind]))
     return OmegaComponents(
         kind=kind,
         omega_I_raw=i_raw,
@@ -172,22 +185,9 @@ def _assemble(scores: ScoreMatrix, kind: CrveKind) -> OmegaComponents:
     )
 
 
-def omega_variant(scores: ScoreMatrix, kind: CrveKind) -> OmegaComponents:
-    """Meat for any estimator family.
-
-    CG/CH are the full one-way cluster sums (PSD by construction), CI the
-    diagonal alone, CTW_II the sum of both one-way matrices (PSD without
-    eigenvalue correction, diagonal counted twice), CTW the corrected
-    two-way assembly.
-    """
-    kind = CrveKind(kind)
-    if kind is CrveKind.CTW:
-        return omega_ctw(scores)
-    if kind in (CrveKind.CG, CrveKind.CTW_II) and scores.G < 2:
-        raise TooFewClusters("row clustering requires G >= 2")
-    if kind in (CrveKind.CH, CrveKind.CTW_II) and scores.H < 2:
-        raise TooFewClusters("column clustering requires H >= 2")
-    return _assemble(scores, kind)
+def omega_ctw(scores: ScoreMatrix) -> OmegaComponents:
+    """Two-way meat, ``omega_variant(scores, CrveKind.CTW)``."""
+    return omega_variant(scores, CrveKind.CTW)
 
 
 def sandwich(d_hat: JacobianEstimate, omega: OmegaComponents,

@@ -81,13 +81,6 @@ def vech(m: np.ndarray) -> np.ndarray:
     return m[cols, rows]
 
 
-def _vech_rows(x: np.ndarray) -> np.ndarray:
-    """Per-row vech(x x'), shape (n, d(d+1)/2), column-major lower triangle."""
-    d = x.shape[1]
-    rows, cols = np.triu_indices(d)
-    return x[:, cols] * x[:, rows]
-
-
 def rule_of_thumb_bandwidth(panel: PanelArray, residuals, tau: float) -> BandwidthDiagnostics:
     """Gaussian rule-of-thumb bandwidth from MAD residual scale.
 
@@ -107,9 +100,13 @@ def rule_of_thumb_bandwidth(panel: PanelArray, residuals, tau: float) -> Bandwid
     sigma = mad / MAD_NORMALIZER
     if sigma == 0.0:
         raise DegenerateScale("MAD of residuals is zero")
-    q = _vech_rows(panel.x)
-    q_norm_mean = float(np.mean(np.einsum("ij,ij->i", q, q)))
-    q_mean = q.mean(axis=0)
+    # ||Q||^2 = sum_{i<=j} x_i^2 x_j^2 = (||x||^4 + sum_i x_i^4) / 2 and
+    # mean Q = vech(X'X / n), so Q itself is never formed
+    x2 = panel.x * panel.x
+    row_norm2 = x2.sum(axis=1)
+    q_norm2 = 0.5 * (row_norm2 * row_norm2 + np.einsum("ij,ij->i", x2, x2))
+    q_norm_mean = float(np.mean(q_norm2))
+    q_mean = vech(panel.x.T @ panel.x / n)
     q_mean_norm = float(q_mean @ q_mean)
     if q_mean_norm == 0.0:
         raise DegenerateDesign("mean vech(x x') vanishes")

@@ -78,18 +78,18 @@ class PanelArray:
             raise DimensionMismatch("g_idx, h_idx, y, x must share leading length")
         if n == 0:
             raise InputError("panel has no cells")
-        if not (np.isfinite(y).all() and np.isfinite(x).all()):
-            raise InputError("y and x entries must all be finite")
         if g_idx.min() < 0 or g_idx.max() >= self.G:
             raise InputError("g_idx out of range for G")
         if h_idx.min() < 0 or h_idx.max() >= self.H:
             raise InputError("h_idx out of range for H")
-        flat = g_idx * self.H + h_idx
-        uniq, counts = np.unique(flat, return_counts=True)
-        if (counts > 1).any():
-            bad = int(uniq[np.argmax(counts > 1)])
-            g, h = divmod(bad, self.H)
-            raise DuplicateCell(self._raw_g(g), self._raw_h(h))
+        _, first = np.unique(g_idx * self.H + h_idx, return_index=True)
+        if len(first) < n:
+            repeats = np.ones(n, dtype=bool)
+            repeats[first] = False
+            row = np.argmax(repeats)  # the first row that repeats an earlier cell
+            raise DuplicateCell(self._raw_g(int(g_idx[row])), self._raw_h(int(h_idx[row])))
+        if not (np.isfinite(y).all() and np.isfinite(x).all()):
+            raise InputError("y and x entries must all be finite")
         for arr in (g_idx, h_idx, y, x):
             arr.setflags(write=False)
         object.__setattr__(self, "g_idx", g_idx)
@@ -150,7 +150,7 @@ def read_header(path) -> list[str]:
     EmptyFile
         The file holds no record at all.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             header = next(csv.reader(fh))
         except StopIteration:
@@ -164,7 +164,8 @@ def load_csv(path, schema: dict) -> PanelArray:
     Parameters
     ----------
     path : str or path-like
-        UTF-8 CSV file with a header row.
+        UTF-8 CSV file with a header row; a leading byte-order mark is
+        ignored.
     schema : dict
         Column-name map with keys ``g``, ``h``, ``y`` and ``x`` (a list of
         regressor column names).
@@ -214,7 +215,7 @@ def _load_columns(path, pos: dict, columns: list) -> PanelArray:
     values = [f"v{j}" for j in range(len(columns) - 2)]  # y, then each x
     # object, not a fixed-width str dtype, which would drop trailing NULs
     dtype = [("g", object), ("h", object), *((v, np.float64) for v in values)]
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         next(csv.reader(fh))  # the header record, which may span lines
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -224,12 +225,6 @@ def _load_columns(path, pos: dict, columns: list) -> PanelArray:
         raise EmptyFile(f"{path}: header only, no data rows")
     g_idx, g_labels = _dense_labels(records["g"])
     h_idx, h_labels = _dense_labels(records["h"])
-    _, first = np.unique(g_idx * len(h_labels) + h_idx, return_index=True)
-    if len(first) < len(g_idx):
-        repeats = np.ones(len(g_idx), dtype=bool)
-        repeats[first] = False
-        row = np.argmax(repeats)  # the first row that repeats an earlier cell
-        raise DuplicateCell(g_labels[g_idx[row]], h_labels[h_idx[row]])
     return PanelArray(
         G=len(g_labels),
         H=len(h_labels),
@@ -245,7 +240,7 @@ def _load_columns(path, pos: dict, columns: list) -> PanelArray:
 def _load_rows(path, pos: dict, columns: list) -> PanelArray:
     """Row-at-a-time reader: the reference semantics and every ParseFailure."""
     g_col, h_col, y_col, *x_cols = columns
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         next(reader, None)  # header
         g_map: dict = {}

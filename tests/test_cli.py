@@ -68,6 +68,11 @@ def test_fit_json_output(tmp_path, capsys):
         assert all(0.0 <= p <= 1.0 for p in block["p_values"])
     # slopes are near 1 on this design, so their tests against 1 rarely reject
     assert abs(doc["beta_hat"][2] - 1.0) < 0.5
+    # spreadsheet "CSV UTF-8" exports start with a byte-order mark
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert main(["fit", str(bom), "--crve", "ctw", "--crve", "ci", "--null", "1"]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_fit_csv_output(tmp_path, capsys):

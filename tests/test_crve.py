@@ -34,6 +34,16 @@ def random_scores(rng, G, H, d):
                        np.repeat(np.arange(G), H), np.tile(np.arange(H), G), G, H)
 
 
+def random_unbalanced_scores(rng, G, H, d, drop=0.2):
+    """random_scores with about ``drop`` of the cells missing, keeping at
+    least one cell in every row and column."""
+    keep = rng.random((G, H)) >= drop
+    keep[np.arange(G), rng.integers(H, size=G)] = True
+    keep[rng.integers(G, size=H), np.arange(H)] = True
+    g_idx, h_idx = np.nonzero(keep)
+    return make_scores(rng.standard_normal((len(g_idx), d)), g_idx, h_idx, G, H)
+
+
 def brute_force_components(sm):
     """O(n^2) double loop over cell pairs; independent of the fast assembly."""
     n, d = sm.n, sm.d
@@ -125,16 +135,46 @@ def test_omega_frozen_2x2_example():
 
 def test_omega_matches_brute_force():
     rng = np.random.default_rng(107)
-    for _ in range(20):
+    for trial in range(40):
         G = int(rng.integers(2, 7))
         H = int(rng.integers(2, 7))
         d = int(rng.integers(1, 4))
-        sm = random_scores(rng, G, H, d)
+        sm = (random_scores if trial % 2 == 0 else random_unbalanced_scores)(rng, G, H, d)
         i_raw, ii_raw, diag = brute_force_components(sm)
         om = omega_ctw(sm)
         assert_allclose(om.omega_I_raw, i_raw, rtol=1e-12, atol=1e-14)
         assert_allclose(om.omega_II_raw, ii_raw, rtol=1e-12, atol=1e-14)
         assert_allclose(om.omega_diag, diag, rtol=1e-12, atol=1e-14)
+        expect = {
+            CrveKind.CTW: evc(i_raw) + evc(ii_raw) + diag,
+            CrveKind.CG: i_raw + diag,
+            CrveKind.CH: ii_raw + diag,
+            CrveKind.CI: diag,
+            CrveKind.CTW_II: i_raw + ii_raw + 2.0 * diag,
+        }
+        for kind in ALL_KINDS:
+            assert_allclose(omega_variant(sm, kind).omega_total, expect[kind],
+                            rtol=1e-10, atol=1e-13)
+
+
+def test_omega_transposition_swaps_margins():
+    # relabelling rows as columns swaps the one-way pieces and leaves the
+    # symmetric estimators unchanged
+    rng = np.random.default_rng(157)
+    for sm in (random_scores(rng, 7, 4, 3), random_unbalanced_scores(rng, 5, 8, 2)):
+        flipped = make_scores(sm.scores, sm.h_idx, sm.g_idx, sm.H, sm.G)
+        om, om_t = omega_ctw(sm), omega_ctw(flipped)
+        for a, b in ((om.omega_I_raw, om_t.omega_II_raw),
+                     (om.omega_II_raw, om_t.omega_I_raw),
+                     (om.omega_I, om_t.omega_II), (om.omega_II, om_t.omega_I),
+                     (om.omega_diag, om_t.omega_diag)):
+            assert_allclose(a, b, rtol=1e-13, atol=1e-15)
+        assert (om.clip_count_I, om.clip_count_II) == (om_t.clip_count_II, om_t.clip_count_I)
+        swap = {CrveKind.CG: CrveKind.CH, CrveKind.CH: CrveKind.CG}
+        for kind in ALL_KINDS:
+            assert_allclose(omega_variant(sm, kind).omega_total,
+                            omega_variant(flipped, swap.get(kind, kind)).omega_total,
+                            rtol=1e-13, atol=1e-15)
 
 
 def test_omega_zero_scores():

@@ -24,6 +24,7 @@ from twqr.jacobian import (
     rule_of_thumb_bandwidth,
     vech,
 )
+from twqr.panel import PanelArray
 from twqr.solver import fit_qr
 
 # frozen by a 40-digit normal-distribution evaluation:
@@ -81,10 +82,16 @@ def test_identical_design_rows_cancel_q_ratio():
     assert_allclose(diag.ell, expect, rtol=1e-12)
 
 
-def test_rule_of_thumb_matches_independent_formula():
+@pytest.mark.parametrize("d, drop", [(1, 0.0), (4, 0.0), (10, 0.0), (4, 0.2)],
+                         ids=["d1", "d4", "d10", "d4_missing_cells"])
+def test_rule_of_thumb_matches_independent_formula(d, drop):
     # fresh arithmetic: explicit loops, no shared helpers
     rng = np.random.default_rng(29)
-    panel = random_panel(rng, 12, 11, 4)
+    panel = random_panel(rng, 12, 11, d)
+    if drop:
+        keep = rng.random(panel.n) >= drop
+        panel = PanelArray(G=panel.G, H=panel.H, g_idx=panel.g_idx[keep],
+                           h_idx=panel.h_idx[keep], y=panel.y[keep], x=panel.x[keep])
     fit = fit_qr(panel, 0.7)
     diag = rule_of_thumb_bandwidth(panel, fit.residuals, 0.7)
 
@@ -93,7 +100,6 @@ def test_rule_of_thumb_matches_independent_formula():
     med = r[(n - 1) // 2]
     dev = np.sort(np.abs(fit.residuals - med))
     sigma = dev[(n - 1) // 2] / 0.6745
-    d = panel.d
     q_rows = []
     for i in range(n):
         outer = np.outer(panel.x[i], panel.x[i])

@@ -159,6 +159,18 @@ def test_constructor_rejects_bad_shapes_and_values():
                    y=ones, x=np.ones((4, 1)))
 
 
+def test_constructor_names_first_duplicate_in_row_order():
+    # cell (b, y) repeats first in row order; (a, x) has the lower flat index
+    kwargs = dict(G=2, H=2, g_idx=[1, 0, 1, 0], h_idx=[1, 0, 1, 0],
+                  x=np.ones((4, 1)), g_labels=("a", "b"), h_labels=("x", "y"))
+    with pytest.raises(DuplicateCell) as dup:
+        PanelArray(y=np.ones(4), **kwargs)
+    assert (dup.value.g, dup.value.h) == ("b", "y")
+    # a duplicate outranks a non-finite value
+    with pytest.raises(DuplicateCell):
+        PanelArray(y=[1.0, np.nan, 1.0, 1.0], **kwargs)
+
+
 def test_panel_arrays_are_read_only():
     panel = grid_panel(2, 2, np.ones((4, 1)), np.arange(4.0))
     with pytest.raises(ValueError):
@@ -278,6 +290,7 @@ PARITY_FILES = {
     "single_row": ("g,h,y,x1\na,1,1.0,2.0\n", True),
     "nul_in_label": ("g,h,y,x1\na\x00,1,1.0,2.0\na,1,3.0,4.0\n", True),
     "header_spans_lines": ('g,h,y,x1,"note\nmore"\na,1,1.0,2.0,z\nb,1,3.0,4.0,z\n', True),
+    "utf8_bom": ("\ufeffg,h,y,x1\na,1,1.0,2.0\nb,1,3.0,4.0\n", True),
 }
 
 
@@ -316,6 +329,9 @@ def test_columnar_edge_cases_read_as_intended(tmp_path):
     assert load_csv(load("nul_in_label"), SCHEMA).g_labels == ("a\x00", "a")
     panel = load_csv(load("single_row"), SCHEMA)
     assert (panel.G, panel.H, panel.n) == (1, 1, 1)
+    # a byte-order mark is not part of the first column name
+    assert read_header(load("utf8_bom"))[0] == "g"
+    assert load_csv(load("utf8_bom"), SCHEMA).g_labels == ("a", "b")
 
 
 labels = st.one_of(st.integers(-3, 30),
