@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import DimensionMismatch, InvalidTau, RankDeficient
 from .panel import RANK_TOL, PanelArray
@@ -96,19 +96,36 @@ def _check_rank(x: np.ndarray) -> None:
         )
 
 
-def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
-    """Largest alpha in (0, 1] keeping v + alpha*dv strictly positive."""
-    neg = dv < 0
-    if not neg.any():
-        return 1.0
-    return min(1.0, _STEP_SHRINK * float(np.min(-v[neg] / dv[neg])))
+def _primal_step(a: np.ndarray, s: np.ndarray, d_a: np.ndarray) -> float:
+    """Fraction-to-boundary step keeping a + alpha*d_a and s - alpha*d_a positive.
+
+    Where d_a < 0 the ratio is a / |d_a|, where d_a > 0 it is s / |d_a|, and
+    a zero direction of either sign gives inf, so one pass covers both bounds.
+    """
+    with np.errstate(divide="ignore"):
+        ratio = np.where(d_a < 0, a, s) / np.abs(d_a)
+    return min(1.0, _STEP_SHRINK * float(ratio.min()))
+
+
+def _dual_step(z: np.ndarray, d_z: np.ndarray, w: np.ndarray, d_w: np.ndarray) -> float:
+    """Fraction-to-boundary step keeping z + alpha*d_z and w + alpha*d_w positive.
+
+    A nonnegative direction divides by +0.0 and gives inf, so it never binds.
+    This needs ``np.maximum(-0.0, 0.0)`` to return the second operand, +0.0;
+    test_solver's step-length property checks it.
+    """
+    with np.errstate(divide="ignore"):
+        ratio = min((z / np.maximum(-d_z, 0.0)).min(), (w / np.maximum(-d_w, 0.0)).min())
+    return min(1.0, _STEP_SHRINK * float(ratio))
 
 
 def _interior_point(x, y, tau, gap_tol, max_iter):
     """Solve the check-loss LP; returns (beta, iterations, gap, converged).
 
     ``gap`` is the certified duality gap objective(beta) - dual value, an
-    upper bound on the objective suboptimality of the returned beta.
+    upper bound on the objective suboptimality of the returned beta. A
+    non-finite or numerically indefinite normal matrix ends the loop early
+    with ``converged = False``.
     """
     n, d = x.shape
     xt1 = x.sum(axis=0)
@@ -125,36 +142,37 @@ def _interior_point(x, y, tau, gap_tol, max_iter):
     a = np.full(n, 1.0 - tau)
     s = np.full(n, tau)
 
-    def certified(lam_vec, a_vec):
-        beta = -lam_vec
-        obj = float(np.sum(check_loss(y - x @ beta, tau)))
+    def certified(xl, a_vec):
+        u = y + xl  # y - x @ beta with beta = -lam, bit for bit
+        obj = float(np.sum(u * (tau - (u <= 0.0))))
         dual = float(y @ a_vec) - ysum
         return obj, obj - dual
 
-    best_beta = beta0.copy()
-    best_obj, gap = certified(lam, a)
+    best_beta, best_obj = beta0, np.inf
     it = 0
     for it in range(1, max_iter + 1):
-        obj, gap = certified(lam, a)
+        xl = x @ lam
+        obj, gap = certified(xl, a)
         if obj < best_obj:
             best_obj, best_beta = obj, -lam
         tol = gap_tol * (1.0 + abs(obj))
         r_p = b_eq - x.T @ a
-        r_d = -y - x @ lam - z + w
+        r_d = -y - xl - z + w
         if gap <= tol and np.abs(r_p).max(initial=0.0) <= tol and np.abs(r_d).max(initial=0.0) <= tol:
             return -lam, it - 1, gap, True
 
         q = z / a + w / s
         qinv = 1.0 / q
         m = (x * qinv[:, None]).T @ x
-        try:
-            factor = cho_factor(m, lower=True)
-        except np.linalg.LinAlgError:  # pragma: no cover - extreme ill-conditioning
+        if not np.isfinite(m).all():
+            break
+        factor, info = dpotrf(m, lower=1, clean=0)
+        if info != 0:
             break
 
         def solve_direction(rc1, rc2):
             rhs_n = r_d - rc1 / a + rc2 / s
-            d_lam = cho_solve(factor, r_p + x.T @ (qinv * rhs_n))
+            d_lam, _ = dpotrs(factor, r_p + x.T @ (qinv * rhs_n), lower=1)
             d_a = qinv * (x @ d_lam - rhs_n)
             d_z = (rc1 - z * d_a) / a
             d_w = (rc2 + w * d_a) / s
@@ -164,8 +182,8 @@ def _interior_point(x, y, tau, gap_tol, max_iter):
         rc1 = -a * z
         rc2 = -s * w
         d_lam, d_a, d_z, d_w = solve_direction(rc1, rc2)
-        ap = min(_max_step(a, d_a), _max_step(s, -d_a))
-        ad = min(_max_step(z, d_z), _max_step(w, d_w))
+        ap = _primal_step(a, s, d_a)
+        ad = _dual_step(z, d_z, w, d_w)
         comp = float(a @ z + s @ w)
         comp_aff = float(
             (a + ap * d_a) @ (z + ad * d_z) + (s - ap * d_a) @ (w + ad * d_w)
@@ -176,8 +194,8 @@ def _interior_point(x, y, tau, gap_tol, max_iter):
         rc1 = mu - a * z - d_a * d_z
         rc2 = mu - s * w + d_a * d_w
         d_lam, d_a, d_z, d_w = solve_direction(rc1, rc2)
-        ap = min(_max_step(a, d_a), _max_step(s, -d_a))
-        ad = min(_max_step(z, d_z), _max_step(w, d_w))
+        ap = _primal_step(a, s, d_a)
+        ad = _dual_step(z, d_z, w, d_w)
 
         a = a + ap * d_a
         s = s - ap * d_a
@@ -185,7 +203,7 @@ def _interior_point(x, y, tau, gap_tol, max_iter):
         z = z + ad * d_z
         w = w + ad * d_w
 
-    obj, gap = certified(lam, a)
+    obj, gap = certified(x @ lam, a)
     if obj < best_obj:
         best_obj, best_beta = obj, -lam
     return best_beta, it, gap, False

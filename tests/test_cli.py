@@ -128,6 +128,21 @@ def test_fit_collinear_design_is_a_numeric_error(tmp_path, capsys):
     assert "RankDeficient" in capsys.readouterr().err
 
 
+def test_fit_overflowing_design_is_a_numeric_error(tmp_path, capsys):
+    # x'x overflows at this scale; the solver stops unconverged and the
+    # bandwidth step reports it, instead of a traceback and exit 1
+    lines = ["g,h,y,x1,x2"]
+    rng = np.random.default_rng(3)
+    for g in range(8):
+        for h in range(8):
+            lines.append(f"{g},{h},{rng.standard_normal()!r},{1e200!r},"
+                         f"{rng.standard_normal() * 1e200!r}")
+    path = tmp_path / "huge.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["fit", str(path)]) == 3
+    assert "error: NonpositiveBandwidth" in capsys.readouterr().err
+
+
 def test_fit_usage_errors(tmp_path, capsys):
     path = panel_csv(tmp_path)
     assert main(["fit", str(path), "--tau", "1.5"]) == 2

@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.optimize import linprog
 
 from helpers import grid_panel, random_panel
 
-from twqr.errors import DimensionMismatch, InvalidTau
+from twqr.errors import DimensionMismatch, InvalidTau, RankDeficient
 from twqr.panel import PanelArray
-from twqr.solver import check_loss, fit_qr, score_matrix
+from twqr.solver import _dual_step, _primal_step, check_loss, fit_qr, score_matrix
 
 
 def lp_objective(panel, tau):
@@ -178,13 +180,84 @@ def test_fit_is_deterministic():
 def test_max_iter_exhaustion_returns_best_iterate():
     rng = np.random.default_rng(59)
     panel = random_panel(rng, 10, 10, 3)
-    fit = fit_qr(panel, 0.5, max_iter=2)
-    assert not fit.solver.converged
-    assert np.isfinite(fit.objective)
-    assert np.isfinite(fit.beta_hat).all()
-    # the capped run cannot beat the converged optimum
     full = fit_qr(panel, 0.5)
-    assert fit.objective >= full.objective - 1e-9
+    for max_iter in (1, 2):
+        fit = fit_qr(panel, 0.5, max_iter=max_iter)
+        assert not fit.solver.converged
+        assert fit.solver.iterations == max_iter
+        assert np.isfinite(fit.objective)
+        assert np.isfinite(fit.beta_hat).all()
+        # the capped run cannot beat the converged optimum
+        assert fit.objective >= full.objective - 1e-9
+
+
+def test_zero_iterations_returns_certified_start():
+    rng = np.random.default_rng(67)
+    panel = random_panel(rng, 9, 8, 3)
+    tau = 0.3
+    fit = fit_qr(panel, tau, max_iter=0)
+    start, *_ = np.linalg.lstsq(panel.x, panel.y, rcond=None)
+    assert fit.beta_hat.tobytes() == start.tobytes()
+    assert fit.solver.iterations == 0
+    assert fit.solver.converged is False
+    # the dual starts at a = (1 - tau) 1, so its value is y'a - (1 - tau) 1'y
+    dual = float(panel.y @ np.full(panel.n, 1.0 - tau)) - (1.0 - tau) * float(panel.y.sum())
+    assert np.isfinite(fit.solver.duality_gap)
+    assert fit.solver.duality_gap == fit.objective - dual
+
+
+@pytest.mark.parametrize("x_scale", [1e-150, 1.0, 1e100, 1e150, 1e200])
+@pytest.mark.parametrize("y_scale", [1e-150, 1.0, 1e150, 1e300])
+def test_extreme_magnitudes_return_or_raise_rank_deficient(x_scale, y_scale):
+    # an overflowing normal matrix must end the solve, not escape as ValueError
+    rng = np.random.default_rng(71)
+    panel = random_panel(rng, 8, 8, 3)
+    scaled = grid_panel(8, 8, panel.x * x_scale, panel.y * y_scale)
+    try:
+        fit = fit_qr(scaled, 0.5)
+    except RankDeficient:
+        return
+    assert fit.beta_hat.shape == (3,)
+    assert isinstance(fit.solver.converged, bool)
+
+
+def masked_step(v, dv):
+    """Fraction-to-boundary step written with a boolean mask."""
+    neg = dv < 0
+    if not neg.any():
+        return 1.0
+    return min(1.0, 0.9995 * float(np.min(-v[neg] / dv[neg])))
+
+
+_directions = st.one_of(st.just(0.0), st.just(-0.0),
+                        st.floats(1e-6, 1e6), st.floats(-1e6, -1e-6))
+_positives = st.floats(1e-6, 1e6)
+
+
+@st.composite
+def _step_cases(draw):
+    """Positive iterates and directions of one common length; some directions
+    are drawn nonnegative only, so the step is 1.0."""
+    n = draw(st.integers(1, 12))
+    direction = draw(st.sampled_from([_directions, st.one_of(st.just(0.0), st.just(-0.0),
+                                                             st.floats(1e-6, 1e6))]))
+    vecs = [np.array(draw(st.lists(_positives, min_size=n, max_size=n))) for _ in range(2)]
+    dirs = [np.array(draw(st.lists(direction, min_size=n, max_size=n))) for _ in range(2)]
+    return vecs[0], vecs[1], dirs[0], dirs[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_step_cases())
+@example(case=(np.array([1.0]), np.array([2.0]), np.array([-0.0]), np.array([0.0])))
+@example(case=(np.array([1.0, 3.0]), np.array([2.0, 5.0]),
+               np.array([0.5, -0.0]), np.array([0.0, 2.0])))
+def test_step_lengths_match_masked_formula(case):
+    v1, v2, d1, d2 = case
+    primal = _primal_step(v1, v2, d1)
+    assert primal == masked_step(np.concatenate([v1, v2]), np.concatenate([d1, -d1]))
+    dual = _dual_step(v1, d1, v2, d2)
+    assert dual == masked_step(np.concatenate([v1, v2]), np.concatenate([d1, d2]))
+    assert 0.0 < primal <= 1.0 and 0.0 < dual <= 1.0
 
 
 def test_fit_rejects_bad_inputs():
@@ -193,7 +266,6 @@ def test_fit_rejects_bad_inputs():
         fit_qr(panel, 1.0)
     rank_deficient = grid_panel(
         2, 2, np.column_stack([np.ones(4), 2 * np.ones(4)]), np.arange(4.0))
-    from twqr.errors import RankDeficient
     with pytest.raises(RankDeficient):
         fit_qr(rank_deficient, 0.5)
 
