@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", default=".", help="directory for report.csv / report.json")
     sim.add_argument("--seed", type=int, default=None, help="override the config seed")
     sim.add_argument("--threads", type=int, default=None,
-                     help="worker threads (default: TWQR_THREADS or 1)")
+                     help="worker processes (default: TWQR_THREADS or 1)")
     sim.set_defaults(func=cmd_simulate)
 
     demo = sub.add_parser("demo-nongaussian",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .errors import (
     NonFinite,
@@ -221,5 +221,5 @@ def t_test(fit: QuantileFit, var: VarianceEstimate, j: int,
     if not se > 0.0:
         raise ZeroStdError(f"standard error of coefficient {j} is not positive")
     t = (float(fit.beta_hat[j]) - b0) / se
-    p = 2.0 * float(norm.sf(abs(t)))
+    p = 2.0 * float(ndtr(-abs(t)))
     return TestResult(coefficient_index=j, null_value=float(b0), t_stat=t, p_value=p)

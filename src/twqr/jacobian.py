@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .errors import (
     DegenerateDesign,
@@ -63,8 +63,11 @@ def alpha(tau: float) -> float:
     """Gaussian-reference bias constant ``(1 - z)^2 phi(z)`` at ``z = ppf(tau)``."""
     if not (0.0 < tau < 1.0):
         raise InvalidTau(tau)
-    z = norm.ppf(tau)
-    return float((1.0 - z) ** 2 * norm.pdf(z))
+    z = ndtri(tau)
+    # the standard normal density as scipy.stats.norm.pdf computes it; on a
+    # 0-d array, since numpy's scalar exp can differ in the last bit
+    phi = np.exp(-np.asarray(z) ** 2 / 2.0) / np.sqrt(2 * np.pi)
+    return float((1.0 - z) ** 2 * phi)
 
 
 def _exact_median(v: np.ndarray) -> float:

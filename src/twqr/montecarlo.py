@@ -7,20 +7,22 @@ median-regression demonstration of the multiplicative interaction regime
 whose limit is a product of normals.
 
 Every replication is a pure function of (seed, replication index) through
-counter-based RNG streams, so experiments parallelize without changing
-results: stream ids partition row, column, and cell latents, error latents,
-and regressor dimensions.
+counter-based RNG streams, so results do not depend on worker counts:
+stream ids partition row, column, and cell latents, error latents, and
+regressor dimensions.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import math
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.stats import iqr, kstest, kurtosis, norm
+from scipy.special import ndtri
 
 from .crve import CrveKind, omega_variant, sandwich, t_test
 from .errors import (
@@ -190,7 +192,7 @@ def true_beta(config: MonteCarloConfig, tau: float) -> np.ndarray:
     """Population coefficients at quantile tau: unit slopes, intercept
     shifted by the error's tau-quantile."""
     beta = np.ones(config.d)
-    beta[0] = 1.0 + config.weights.sigma_e * float(norm.ppf(tau))
+    beta[0] = 1.0 + config.weights.sigma_e * float(ndtri(tau))
     return beta
 
 
@@ -236,24 +238,108 @@ def _replication_outcome(config: MonteCarloConfig, rep: int) -> np.ndarray:
     return out
 
 
+def _chunk_bounds(reps: int, n_jobs: int, cpus: int) -> list[tuple[int, int]]:
+    """Contiguous ``[lo, hi)`` replication ranges, one per worker.
+
+    There are ``min(n_jobs, reps, cpus)`` ranges (at least one); they cover
+    ``range(reps)`` in order and their sizes differ by at most one.
+    """
+    w = max(1, min(n_jobs, reps, cpus))
+    return [(reps * i // w, reps * (i + 1) // w) for i in range(w)]
+
+
+def _chunk_outcomes(config: MonteCarloConfig, lo: int, hi: int) -> np.ndarray:
+    """Outcome rows of replications ``lo .. hi - 1``, in replication order."""
+    block = np.empty((hi - lo, len(config.methods)), dtype=np.int8)
+    for rep in range(lo, hi):
+        block[rep - lo] = _replication_outcome(config, rep)
+    return block
+
+
+def _openblas_thread_controls() -> list[tuple]:
+    """(get, set) thread-count functions of each OpenBLAS in this process.
+
+    numpy and scipy wheels each load their own OpenBLAS, with prefixed or
+    suffixed symbol names. The libraries are found in /proc/self/maps, so
+    the list is empty where that file does not exist.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split(maxsplit=5)[-1].strip()
+                            for line in fh if "openblas" in line})
+    except OSError:
+        return []
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("", "scipy_"):
+            for suffix in ("", "64_"):
+                get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+                if get is not None and set_ is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    controls.append((get, set_))
+    return controls
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Limit every loaded OpenBLAS to one thread inside the block.
+
+    Worker processes already fill the CPUs; OpenBLAS threads that spin
+    between the many small calls of a replication starve the other workers,
+    and with OpenBLAS at its default thread count two workers ran slower
+    than one. The serial path is limited too, because OpenBLAS results can
+    depend on its thread count (they did at n = 14400, d = 20 with OpenBLAS
+    0.3.31) and outcomes must not depend on ``n_jobs``. Any other BLAS is
+    left as it is.
+    """
+    controls = [(set_, get()) for get, set_ in _openblas_thread_controls()]
+    for set_, _ in controls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for set_, n in controls:
+            set_(n)
+
+
+def _outcome_rows(config: MonteCarloConfig, n_jobs: int) -> np.ndarray:
+    """Outcome rows of every replication, in replication order.
+
+    With more than one chunk, each chunk runs in a worker process forked
+    from this one and returns its block. Where ``fork`` is unavailable the
+    run is serial.
+    """
+    bounds = _chunk_bounds(config.reps, n_jobs, os.cpu_count() or 1)
+    if len(bounds) == 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return _chunk_outcomes(config, 0, config.reps)
+    # fork, not spawn: a spawned worker re-imports numpy, scipy and twqr,
+    # about half a second each, the time of some 40 acceptance-design
+    # replications.
+    with multiprocessing.get_context("fork").Pool(len(bounds)) as pool:
+        blocks = pool.starmap(_chunk_outcomes, [(config, lo, hi) for lo, hi in bounds])
+    return np.concatenate(blocks)
+
+
 def rejection_experiment(config: MonteCarloConfig, n_jobs: int = 1) -> RejectionReport:
     """Size of the nominal-5% t-test of the last coefficient.
 
-    Each replication is a pure function of (config, rep) and outcomes are
-    reduced in replication order, so the report does not depend on
-    ``n_jobs``. A method with more than FAILURE_TOLERANCE failed
-    replications aborts the run rather than reporting a biased frequency.
+    ``n_jobs`` is the number of worker processes. The replications are
+    split into fixed contiguous chunks, one per worker and at most one per
+    CPU, and every OpenBLAS runs one thread. Each replication is a pure
+    function of (config, rep) and the chunks are joined in replication
+    order, so the report does not depend on ``n_jobs``. A method with more
+    than FAILURE_TOLERANCE failed replications aborts the run rather than
+    reporting a biased frequency.
     """
     reps = config.reps
-    outcomes = np.empty((reps, len(config.methods)), dtype=np.int8)
-    if n_jobs <= 1:
-        for rep in range(reps):
-            outcomes[rep] = _replication_outcome(config, rep)
-    else:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            rows = pool.map(lambda r: _replication_outcome(config, r), range(reps))
-            for rep, row in enumerate(rows):
-                outcomes[rep] = row
+    with _one_blas_thread():
+        outcomes = _outcome_rows(config, n_jobs)
     freqs: dict[str, float] = {}
     ses: dict[str, float] = {}
     used: dict[str, int] = {}
@@ -352,7 +438,7 @@ def oracle_variance_components(config: MonteCarloConfig, tau: float,
         seed = config.seed
     w = config.weights
     k = config.d - 1
-    q = w.sigma_e * float(norm.ppf(tau))
+    q = w.sigma_e * float(ndtri(tau))
     m = mc_inner
     row_means = np.empty((mc_outer, k + 1))
     col_means = np.empty((mc_outer, k + 1))
@@ -416,7 +502,7 @@ def direct_score_variance(config: MonteCarloConfig, tau: float,
         seed = config.seed
     w = config.weights
     k = config.d - 1
-    q = w.sigma_e * float(norm.ppf(tau))
+    q = w.sigma_e * float(ndtri(tau))
     gen = _stream(seed, 0, _DIRECT_STREAM, 0)
     slopes = (
         w.wUx * gen.standard_normal((n_draws, k))
@@ -446,7 +532,9 @@ def true_bread(config: MonteCarloConfig, tau: float) -> np.ndarray:
     s_e = config.weights.sigma_e
     if s_e <= 0.0:
         raise DegenerateScale("error scale is zero; the density does not exist")
-    q = s_e * float(norm.ppf(tau))
+    from scipy.integrate import quad
+
+    q = s_e * float(ndtri(tau))
     dens, _ = quad(lambda t: math.cos(t * q) * math.exp(-0.5 * (s_e * t) ** 2),
                    0.0, np.inf)
     dens /= math.pi
@@ -485,6 +573,8 @@ def nongaussian_demo(G: int, H: int, c: float, reps: int,
     ranges against a large raw product-normal draw and reported alongside
     the samples.
     """
+    from scipy.stats import iqr, kstest, kurtosis
+
     if reps < 500:
         raise InvalidConfig(f"reps must be >= 500, got {reps}")
     if c < 0.0:

@@ -3,7 +3,7 @@
 Nine numbered checks cover size control across dependence designs, bread
 and meat consistency against independent oracles, exact assembly algebra,
 solver optimality against an off-the-shelf LP, the non-Gaussian
-interaction regime, and byte-level determinism of the CLI across thread
+interaction regime, and byte-level determinism of the CLI across worker
 counts. Each check emits one PASS/FAIL line on the live output stream
 (see the emit_verdict fixture); the assertions carry the same content.
 
@@ -53,19 +53,19 @@ def two_way_config():
 
 @pytest.fixture(scope="module")
 def two_way_report(two_way_config):
-    return rejection_experiment(two_way_config)
+    return rejection_experiment(two_way_config, n_jobs=2)
 
 
 @pytest.fixture(scope="module")
 def independence_report():
     cfg = _design(DgpWeights(0.0, 0.0, 1.0, 0.0, 0.0, 1.0), seed=102)
-    return rejection_experiment(cfg)
+    return rejection_experiment(cfg, n_jobs=2)
 
 
 @pytest.fixture(scope="module")
 def one_way_report():
     cfg = _design(DgpWeights(0.0, 1.0, 1.0, 0.0, 1.0, 1.0), seed=103)
-    return rejection_experiment(cfg)
+    return rejection_experiment(cfg, n_jobs=2)
 
 
 @pytest.fixture(scope="module")

@@ -2,14 +2,27 @@
 
 import csv
 import json
+import os
 import pathlib
+import subprocess
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from jsonschema import Draft202012Validator
 
+import twqr
 from twqr.cli import main
-from twqr.montecarlo import REPORT_COLUMNS, DgpWeights, MonteCarloConfig, generate_dgp
+from twqr.crve import t_test
+from twqr.jacobian import alpha
+from twqr.montecarlo import (
+    REPORT_COLUMNS,
+    DgpWeights,
+    MonteCarloConfig,
+    generate_dgp,
+    true_beta,
+)
 from twqr.panel import write_csv
 
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -260,3 +273,36 @@ def test_demo_rejects_negative_c(tmp_path, capsys):
                "--out", str(tmp_path)])
     assert rc == 2
     assert "InvalidConfig" in capsys.readouterr().err
+
+
+# --- import path ---
+
+def test_cli_import_loads_no_scipy_stats_or_integrate():
+    src = str(pathlib.Path(twqr.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    code = ("import sys, twqr.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'integrate'])))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
+def test_normal_functions_match_scipy_stats_bit_for_bit():
+    from scipy.stats import norm
+
+    taus = np.concatenate([np.linspace(1e-4, 1.0 - 1e-4, 5001),
+                           np.logspace(-300, -1, 200), 1.0 - np.logspace(-16, -1, 200)])
+    cfg = MonteCarloConfig(G=2, H=2, d=3, tau=0.5, reps=1, seed=0,
+                           weights=DgpWeights(1.0, 1.0, 1.0, 0.5, 2.0, 1.0))
+    for tau in map(float, taus):
+        z = norm.ppf(tau)
+        assert alpha(tau) == float((1.0 - z) ** 2 * norm.pdf(z))
+        beta0 = 1.0 + cfg.weights.sigma_e * float(z)
+        assert true_beta(cfg, tau).tobytes() == np.array([beta0, 1.0, 1.0]).tobytes()
+    var = SimpleNamespace(std_errors=np.ones(1))
+    ts = np.concatenate([np.linspace(-40.0, 40.0, 8001), np.logspace(-300, 3, 400),
+                         -np.logspace(-300, 3, 400), [0.0, -0.0, np.inf, -np.inf]])
+    for t in map(float, ts):
+        fit = SimpleNamespace(beta_hat=np.array([t]))
+        assert t_test(fit, var, 0).p_value == 2.0 * float(norm.sf(abs(t)))

@@ -1,10 +1,14 @@
 """Tests for the DGP, rejection experiments, variance oracles, and the demo."""
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.stats import norm as scipy_norm
 
+import twqr.montecarlo as mc
 from twqr.crve import CrveKind
 from twqr.errors import ExcessiveFailureRate, InvalidConfig, RankDeficient
 from twqr.montecarlo import (
@@ -154,6 +158,111 @@ def test_rejection_thread_count_does_not_change_output():
     assert serial.failures == threaded.failures
 
 
+# --- worker pool ---
+
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="the worker pool forks")
+
+
+@pytest.mark.parametrize("reps, n_jobs, cpus, expected", [
+    (3, 8, 16, [(0, 1), (1, 2), (2, 3)]),         # fewer reps than workers
+    (7, 2, 2, [(0, 3), (3, 7)]),                   # reps not divisible
+    (10, 3, 4, [(0, 3), (3, 6), (6, 10)]),
+    (2000, 10_000, 2, [(0, 1000), (1000, 2000)]),  # far more workers than CPUs
+    (5, 1, 8, [(0, 5)]),
+    (1, 4, 4, [(0, 1)]),
+    (9, 4, 1, [(0, 9)]),
+])
+def test_chunk_bounds(reps, n_jobs, cpus, expected):
+    assert mc._chunk_bounds(reps, n_jobs, cpus) == expected
+
+
+def test_chunk_bounds_partition_in_order():
+    for reps in range(1, 40):
+        for n_jobs in (1, 2, 3, 5, 8, 64, 10**9):
+            for cpus in (1, 2, 3, 4, 7, 128):
+                bounds = mc._chunk_bounds(reps, n_jobs, cpus)
+                assert len(bounds) == min(n_jobs, reps, cpus)
+                assert bounds[0][0] == 0 and bounds[-1][1] == reps
+                assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+                sizes = [hi - lo for lo, hi in bounds]
+                assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+
+
+@needs_fork
+@pytest.mark.parametrize("n_jobs", [2, 3])
+def test_pool_outcome_rows_equal_serial(monkeypatch, n_jobs):
+    cfg = small_config(reps=7)
+    serial = mc._outcome_rows(cfg, 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    contexts = []
+    real_get_context = multiprocessing.get_context
+
+    def spy(method):
+        contexts.append(method)
+        return real_get_context(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", spy)
+    pooled = mc._outcome_rows(cfg, n_jobs)
+    assert contexts == ["fork"]
+    assert pooled.dtype == np.int8 and pooled.shape == (7, len(cfg.methods))
+    assert pooled.tobytes() == serial.tobytes()
+    assert multiprocessing.active_children() == []
+
+
+def test_no_fork_start_method_runs_serially(monkeypatch):
+    cfg = small_config(reps=7)
+    serial = rejection_experiment(cfg, n_jobs=1)
+
+    def no_pool(method):
+        raise AssertionError(f"a {method} pool was started")
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    assert report_to_json(rejection_experiment(cfg, n_jobs=2)) == report_to_json(serial)
+
+
+@needs_fork
+def test_worker_exception_propagates_and_pool_is_reaped(monkeypatch):
+    real = mc._replication_outcome
+
+    def failing(config, rep):
+        if rep == 5:
+            raise ValueError("synthetic failure in replication 5")
+        return real(config, rep)
+
+    monkeypatch.setattr(mc, "_replication_outcome", failing)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    with pytest.raises(ValueError, match="replication 5"):
+        rejection_experiment(small_config(reps=7), n_jobs=2)
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_replications_run_with_one_blas_thread(monkeypatch):
+    controls = mc._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS found in this process")
+    before = [get() for get, _ in controls]
+    real = mc._replication_outcome
+
+    def checked(config, rep):
+        counts = [get() for get, _ in mc._openblas_thread_controls()]
+        if counts != [1] * len(controls):
+            raise RuntimeError(f"BLAS thread counts {counts} in replication {rep}")
+        return real(config, rep)
+
+    monkeypatch.setattr(mc, "_replication_outcome", checked)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    for n_jobs in (1, 2):
+        rejection_experiment(small_config(reps=4), n_jobs=n_jobs)
+        assert [get() for get, _ in controls] == before
+    with pytest.raises(ValueError):
+        with mc._one_blas_thread():
+            raise ValueError("leaves the block")
+    assert [get() for get, _ in controls] == before
+
+
 def test_rejection_report_contents():
     cfg = small_config(reps=25, methods=("ctw", "ci"))
     report = rejection_experiment(cfg)
@@ -201,7 +310,6 @@ def test_transposition_symmetry():
 
 
 def test_failed_replications_are_excluded_and_reported(monkeypatch):
-    import twqr.montecarlo as mc
     real_fit = mc.fit_qr
     calls = {"n": 0}
 
@@ -219,8 +327,6 @@ def test_failed_replications_are_excluded_and_reported(monkeypatch):
 
 
 def test_excessive_failures_abort(monkeypatch):
-    import twqr.montecarlo as mc
-
     def broken(panel, tau, **kw):
         raise RankDeficient("synthetic failure")
 
