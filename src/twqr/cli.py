@@ -21,6 +21,7 @@ from .errors import InputError, InvalidConfig, NumericError
 from .jacobian import powell_jacobian, rule_of_thumb_bandwidth
 from .montecarlo import (
     REPORT_COLUMNS,
+    _one_blas_thread,
     config_from_json,
     nongaussian_demo,
     rejection_experiment,
@@ -80,28 +81,31 @@ def _parse_nulls(raw: str | None, d: int) -> list[float]:
 def cmd_fit(args: argparse.Namespace) -> int:
     if args.bandwidth is not None and not args.bandwidth > 0.0:
         raise InvalidConfig(f"--bandwidth must be > 0, got {args.bandwidth}")
-    panel = load_csv(args.input, _fit_schema(args))
-    fit = fit_qr(panel, args.tau)
-    if args.bandwidth is not None:
-        ell, bw_source = float(args.bandwidth), "override"
-    else:
-        ell, bw_source = rule_of_thumb_bandwidth(panel, fit.residuals, args.tau).ell, "rule_of_thumb"
-    jac = powell_jacobian(panel, fit.residuals, ell)
-    scores = score_matrix(panel, fit.beta_hat, args.tau)
-    nulls = _parse_nulls(args.null, panel.d)
-    kinds = list(dict.fromkeys(CrveKind(k) for k in (args.crve or ["ctw"])))
-    methods = {}
-    for kind in kinds:
-        omega = omega_variant(scores, kind)
-        var = sandwich(jac, omega, kind)
-        tests = [t_test(fit, var, j, nulls[j]) for j in range(panel.d)]
-        methods[kind.value] = {
-            "std_errors": [float(v) for v in var.std_errors],
-            "t_stats": [t.t_stat for t in tests],
-            "p_values": [t.p_value for t in tests],
-            "clip_count_I": omega.clip_count_I,
-            "clip_count_II": omega.clip_count_II,
-        }
+    # OpenBLAS results can depend on its thread count, so a fit must not
+    # depend on the machine's core count
+    with _one_blas_thread():
+        panel = load_csv(args.input, _fit_schema(args))
+        fit = fit_qr(panel, args.tau)
+        if args.bandwidth is not None:
+            ell, bw_source = float(args.bandwidth), "override"
+        else:
+            ell, bw_source = rule_of_thumb_bandwidth(panel, fit.residuals, args.tau).ell, "rule_of_thumb"
+        jac = powell_jacobian(panel, fit.residuals, ell)
+        scores = score_matrix(panel, fit.beta_hat, args.tau)
+        nulls = _parse_nulls(args.null, panel.d)
+        kinds = list(dict.fromkeys(CrveKind(k) for k in (args.crve or ["ctw"])))
+        methods = {}
+        for kind in kinds:
+            omega = omega_variant(scores, kind)
+            var = sandwich(jac, omega, kind)
+            tests = [t_test(fit, var, j, nulls[j]) for j in range(panel.d)]
+            methods[kind.value] = {
+                "std_errors": [float(v) for v in var.std_errors],
+                "t_stats": [t.t_stat for t in tests],
+                "p_values": [t.p_value for t in tests],
+                "clip_count_I": omega.clip_count_I,
+                "clip_count_II": omega.clip_count_II,
+            }
     response = {
         "tau": args.tau,
         "beta_hat": [float(b) for b in fit.beta_hat],

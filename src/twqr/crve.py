@@ -5,7 +5,8 @@ and on the diagonal, eigenvalue-corrects the two off-diagonal blocks, and
 adds the pieces. One-way and intersection-only comparators reuse the same
 building blocks: each estimator's meat is a fixed sum of them. The sandwich
 combines the meat with the kernel Jacobian through a single Cholesky
-factorization.
+factorization. The blocks and the factor are built once per panel and
+shared by the five estimators.
 
 Normalization divides by the squared realized cell count n^2, which equals
 (GH)^2 on complete grids; pair sums range over pairs of present cells only.
@@ -18,7 +19,8 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dpotrs
 from scipy.special import ndtr
 
 from .errors import (
@@ -143,21 +145,22 @@ def _cluster_sums(psi: np.ndarray, idx: np.ndarray, count: int) -> np.ndarray:
     return np.bincount(flat, weights=psi.ravel(), minlength=count * d).reshape(count, d)
 
 
-def omega_variant(scores: ScoreMatrix, kind: CrveKind) -> OmegaComponents:
-    """Meat for any estimator family: a fixed sum of shared blocks.
+def _memoised(obj, name: str, build):
+    """``build(obj)``, computed on the first call and kept on ``obj``.
 
-    CG/CH are the full one-way cluster sums (PSD by construction), CI the
-    diagonal alone, CTW_II the sum of both one-way matrices (PSD without
-    eigenvalue correction, diagonal counted twice), CTW the corrected
-    two-way assembly. Raw off-diagonal blocks use the identity
-    ``sum_{h != h'} psi_gh psi_gh'^T = (sum_h psi_gh)(sum_h psi_gh)^T -
-    sum_h psi_gh psi_gh^T`` per row (and symmetrically per column), so
-    assembly is O(n d^2).
+    The inputs are frozen dataclasses, so the value is stored with
+    ``object.__setattr__``; it is not a field and takes no part in equality.
+    A build that raises stores nothing, so every later call raises again.
     """
-    kind = CrveKind(kind)
-    for margins, message in _NEEDS_TWO[kind].items():
-        if min(getattr(scores, m) for m in margins) < 2:
-            raise TooFewClusters(message)
+    try:
+        return vars(obj)[name]
+    except KeyError:
+        value = build(obj)
+        object.__setattr__(obj, name, value)
+        return value
+
+
+def _build_meat_blocks(scores: ScoreMatrix) -> tuple[dict[str, np.ndarray], int, int]:
     norm2 = float(scores.n) ** 2
     psi = scores.scores
     sg = _cluster_sums(psi, scores.g_idx, scores.G)
@@ -169,16 +172,43 @@ def omega_variant(scores: ScoreMatrix, kind: CrveKind) -> OmegaComponents:
     ii_raw = col - diag
     i_evc, clip_i = _evc_counted(i_raw)
     ii_evc, clip_ii = _evc_counted(ii_raw)
-    blocks = {"I": i_evc, "II": ii_evc, "diag": diag, "row": row, "col": col}
+    blocks = {"I_raw": i_raw, "II_raw": ii_raw, "I": i_evc, "II": ii_evc,
+              "diag": diag, "row": row, "col": col}
+    # every kind's OmegaComponents shares these arrays
+    for block in blocks.values():
+        block.flags.writeable = False
+    return blocks, clip_i, clip_ii
+
+
+def omega_variant(scores: ScoreMatrix, kind: CrveKind) -> OmegaComponents:
+    """Meat for any estimator family: a fixed sum of shared blocks.
+
+    CG/CH are the full one-way cluster sums (PSD by construction), CI the
+    diagonal alone, CTW_II the sum of both one-way matrices (PSD without
+    eigenvalue correction, diagonal counted twice), CTW the corrected
+    two-way assembly. Raw off-diagonal blocks use the identity
+    ``sum_{h != h'} psi_gh psi_gh'^T = (sum_h psi_gh)(sum_h psi_gh)^T -
+    sum_h psi_gh psi_gh^T`` per row (and symmetrically per column), so
+    assembly is O(n d^2).
+
+    The blocks are built on the first call for a ``ScoreMatrix`` and kept
+    on it, read-only, so later kinds only add them up; the score arrays
+    must not be changed in place afterwards.
+    """
+    kind = CrveKind(kind)
+    for margins, message in _NEEDS_TWO[kind].items():
+        if min(getattr(scores, m) for m in margins) < 2:
+            raise TooFewClusters(message)
+    blocks, clip_i, clip_ii = _memoised(scores, "_meat_blocks", _build_meat_blocks)
     # reduce, not sum: sum's 0 + x would turn -0.0 entries into 0.0
     total = functools.reduce(np.add, (blocks[b] for b in _TOTALS[kind]))
     return OmegaComponents(
         kind=kind,
-        omega_I_raw=i_raw,
-        omega_II_raw=ii_raw,
-        omega_I=i_evc,
-        omega_II=ii_evc,
-        omega_diag=diag,
+        omega_I_raw=blocks["I_raw"],
+        omega_II_raw=blocks["II_raw"],
+        omega_I=blocks["I"],
+        omega_II=blocks["II"],
+        omega_diag=blocks["diag"],
         omega_total=0.5 * (total + total.T),
         clip_count_I=clip_i,
         clip_count_II=clip_ii,
@@ -190,18 +220,31 @@ def omega_ctw(scores: ScoreMatrix) -> OmegaComponents:
     return omega_variant(scores, CrveKind.CTW)
 
 
-def sandwich(d_hat: JacobianEstimate, omega: OmegaComponents,
-             kind: CrveKind | None = None) -> VarianceEstimate:
-    """Sandwich ``D^{-1} Omega D^{-1}`` via one reused Cholesky factorization."""
+def _jacobian_factor(d_hat: JacobianEstimate) -> np.ndarray:
+    """Lower Cholesky factor of D, after the eigenvalue-ratio check."""
     d_mat = d_hat.d_hat
     vals = np.linalg.eigvalsh(d_mat)
     if vals[0] <= 1e-10 * max(vals[-1], 0.0):
         raise SingularJacobian(
             f"Jacobian min/max eigenvalue ratio {vals[0]:.3e}/{vals[-1]:.3e}"
         )
-    factor = cho_factor(d_mat, lower=True)
-    half = cho_solve(factor, omega.omega_total)        # D^{-1} Omega
-    sigma = cho_solve(factor, half.T).T                # D^{-1} Omega D^{-1}
+    return cho_factor(d_mat, lower=True)[0]
+
+
+def sandwich(d_hat: JacobianEstimate, omega: OmegaComponents,
+             kind: CrveKind | None = None) -> VarianceEstimate:
+    """Sandwich ``D^{-1} Omega D^{-1}`` via one reused Cholesky factorization.
+
+    The eigenvalue-ratio check and the factor of D are computed on the first
+    call for a ``JacobianEstimate`` and kept on it for the other kinds, so D
+    must not be changed in place afterwards.
+    """
+    d_mat = d_hat.d_hat
+    factor = _memoised(d_hat, "_factor", _jacobian_factor)
+    # dpotrs is what cho_solve calls, without its per-call overhead; the
+    # finiteness checks are the ones cho_solve makes
+    half = dpotrs(factor, np.asarray_chkfinite(omega.omega_total), lower=1)[0]  # D^{-1} Omega
+    sigma = dpotrs(factor, np.asarray_chkfinite(half.T), lower=1)[0].T          # D^{-1} Omega D^{-1}
     sigma = 0.5 * (sigma + sigma.T)
     diag = np.diag(sigma)
     std = np.sqrt(np.maximum(diag, 0.0))

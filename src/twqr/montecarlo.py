@@ -295,8 +295,9 @@ def _one_blas_thread():
     and with OpenBLAS at its default thread count two workers ran slower
     than one. The serial path is limited too, because OpenBLAS results can
     depend on its thread count (they did at n = 14400, d = 20 with OpenBLAS
-    0.3.31) and outcomes must not depend on ``n_jobs``. Any other BLAS is
-    left as it is.
+    0.3.31) and outcomes must not depend on ``n_jobs``. ``nongaussian_demo``
+    and ``twqr fit`` run inside it for the same reason: their results must
+    not depend on the machine's core count. Any other BLAS is left as it is.
     """
     controls = [(set_, get()) for get, set_ in _openblas_thread_controls()]
     for set_, _ in controls:
@@ -589,24 +590,25 @@ def nongaussian_demo(G: int, H: int, c: float, reps: int,
     vals = np.empty(reps)
     ok = np.zeros(reps, dtype=bool)
     scale = math.sqrt(G * H)
-    for rep in range(reps):
-        u = _stream(seed, rep, _UX, 0).standard_normal(G)
-        v = _stream(seed, rep, _VX, 0).standard_normal(H) + 1.0
-        ue = 2 * _stream(seed, rep, _UE, 0).integers(0, 2, G) - 1
-        ve = 2 * (_stream(seed, rep, _VE, 0).random(H) < p_plus).astype(np.intp) - 1
-        we = _stream(seed, rep, _WE, 0).uniform(-1.0, 1.0, (G, H))
-        x = np.outer(u, v)
-        e = ue[:, None] * ve[None, :] * np.abs(we)
-        panel = PanelArray(G=G, H=H, g_idx=g_idx, h_idx=h_idx,
-                           y=(x + e).reshape(-1), x=x.reshape(-1, 1))
-        try:
-            fit = fit_qr(panel, 0.5)
-        except NumericError:
-            continue
-        if not fit.solver.converged:
-            continue
-        vals[rep] = scale * (float(fit.beta_hat[0]) - 1.0)
-        ok[rep] = True
+    with _one_blas_thread():
+        for rep in range(reps):
+            u = _stream(seed, rep, _UX, 0).standard_normal(G)
+            v = _stream(seed, rep, _VX, 0).standard_normal(H) + 1.0
+            ue = 2 * _stream(seed, rep, _UE, 0).integers(0, 2, G) - 1
+            ve = 2 * (_stream(seed, rep, _VE, 0).random(H) < p_plus).astype(np.intp) - 1
+            we = _stream(seed, rep, _WE, 0).uniform(-1.0, 1.0, (G, H))
+            x = np.outer(u, v)
+            e = ue[:, None] * ve[None, :] * np.abs(we)
+            panel = PanelArray(G=G, H=H, g_idx=g_idx, h_idx=h_idx,
+                               y=(x + e).reshape(-1), x=x.reshape(-1, 1))
+            try:
+                fit = fit_qr(panel, 0.5)
+            except NumericError:
+                continue
+            if not fit.solver.converged:
+                continue
+            vals[rep] = scale * (float(fit.beta_hat[0]) - 1.0)
+            ok[rep] = True
     failures = int(reps - ok.sum())
     if failures > FAILURE_TOLERANCE * reps:
         raise ExcessiveFailureRate(f"{failures} of {reps} replications failed")

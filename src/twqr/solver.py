@@ -151,7 +151,8 @@ def _interior_point(x, y, tau, gap_tol, max_iter):
     best_beta, best_obj = beta0, np.inf
     it = 0
     for it in range(1, max_iter + 1):
-        xl = x @ lam
+        # np.dot, not @: matmul skips BLAS when x has a single column
+        xl = np.dot(x, lam)
         obj, gap = certified(xl, a)
         if obj < best_obj:
             best_obj, best_beta = obj, -lam
@@ -173,7 +174,7 @@ def _interior_point(x, y, tau, gap_tol, max_iter):
         def solve_direction(rc1, rc2):
             rhs_n = r_d - rc1 / a + rc2 / s
             d_lam, _ = dpotrs(factor, r_p + x.T @ (qinv * rhs_n), lower=1)
-            d_a = qinv * (x @ d_lam - rhs_n)
+            d_a = qinv * (np.dot(x, d_lam) - rhs_n)
             d_z = (rc1 - z * d_a) / a
             d_w = (rc2 + w * d_a) / s
             return d_lam, d_a, d_z, d_w
@@ -203,7 +204,7 @@ def _interior_point(x, y, tau, gap_tol, max_iter):
         z = z + ad * d_z
         w = w + ad * d_w
 
-    obj, gap = certified(x @ lam, a)
+    obj, gap = certified(np.dot(x, lam), a)
     if obj < best_obj:
         best_obj, best_beta = obj, -lam
     return best_beta, it, gap, False

@@ -1,5 +1,7 @@
 """Tests for PSD projection, meat assembly, sandwich, and t-tests."""
 
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -15,7 +17,13 @@ from twqr.crve import (
     sandwich,
     t_test,
 )
-from twqr.errors import NonFinite, SingularJacobian, TooFewClusters, ZeroStdError
+from twqr.errors import (
+    NonFinite,
+    NumericError,
+    SingularJacobian,
+    TooFewClusters,
+    ZeroStdError,
+)
 from twqr.jacobian import JacobianEstimate, powell_jacobian, rule_of_thumb_bandwidth
 from twqr.solver import QuantileFit, ScoreMatrix, SolverInfo, fit_qr, score_matrix
 
@@ -241,6 +249,56 @@ def test_omega_too_few_clusters():
     assert omega_variant(sm_one_row, CrveKind.CI).omega_total.shape == (1, 1)
 
 
+def omega_outcome(sm, kind):
+    """Every field of ``omega_variant(sm, kind)`` as bytes, or the error raised."""
+    try:
+        om = omega_variant(sm, kind)
+    except NumericError as exc:
+        return type(exc), str(exc)
+    return (om.kind, om.clip_count_I, om.clip_count_II,
+            *(getattr(om, f).tobytes() for f in ("omega_I_raw", "omega_II_raw", "omega_I",
+                                                  "omega_II", "omega_diag", "omega_total")))
+
+
+def test_omega_shared_blocks_match_fresh_per_kind():
+    # the blocks are built once per ScoreMatrix; any order of kinds on one
+    # instance must give what each kind gives on a fresh one, errors included
+    rng = np.random.default_rng(163)
+    panels = [random_scores(rng, 6, 5, 3), random_unbalanced_scores(rng, 7, 6, 2),
+              random_scores(rng, 1, 5, 2), random_scores(rng, 4, 1, 2),
+              random_unbalanced_scores(rng, 1, 6, 3)]
+    for sm in panels:
+        def fresh():
+            return make_scores(sm.scores.copy(), sm.g_idx.copy(), sm.h_idx.copy(), sm.G, sm.H)
+
+        expect = {kind: omega_outcome(fresh(), kind) for kind in ALL_KINDS}
+        raised = [kind for kind in ALL_KINDS if expect[kind][0] is TooFewClusters]
+        assert len(raised) == (3 if 1 in (sm.G, sm.H) else 0)
+        for order in itertools.permutations(ALL_KINDS):
+            shared = fresh()
+            for kind in order:
+                assert omega_outcome(shared, kind) == expect[kind], (order, kind)
+        om = omega_variant(shared, CrveKind.CI)
+        for f in ("omega_I_raw", "omega_II_raw", "omega_I", "omega_II", "omega_diag"):
+            assert not getattr(om, f).flags.writeable
+
+
+def test_omega_overflow_raises_on_every_call():
+    # a failed build is not kept, so each call raises again; a shortfall of
+    # clusters is reported before the blocks are built
+    psi = [[1e300, 1.0], [2.0, -1e300], [3.0, 1.0], [4.0, 2.0]]
+    sm = make_scores(psi, [0, 0, 1, 1], [0, 1, 0, 1], 2, 2)
+    one_row = make_scores(psi, [0, 0, 0, 0], [0, 1, 2, 3], 1, 4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(2):
+            for kind in ALL_KINDS:
+                with pytest.raises(NonFinite, match="non-finite entries"):
+                    omega_variant(sm, kind)
+                error = NonFinite if kind in (CrveKind.CH, CrveKind.CI) else TooFewClusters
+                with pytest.raises(error):
+                    omega_variant(one_row, kind)
+
+
 def test_clip_counts_reported():
     # strongly negative cross products force eigenvalue clipping
     sm = make_scores([[1.0, 0.0], [-1.0, 0.1], [0.5, -1.0], [-0.5, 1.1]],
@@ -286,15 +344,33 @@ def test_sandwich_matches_inverse_oracle():
         assert_allclose(var.std_errors, np.sqrt(np.diag(expect)), rtol=1e-10)
 
 
+def test_sandwich_shared_jacobian_matches_fresh():
+    # D is checked and factored once per JacobianEstimate and reused by kinds
+    rng = np.random.default_rng(167)
+    a = rng.standard_normal((4, 4))
+    d_mat = a @ a.T + np.eye(4)
+    sm = random_unbalanced_scores(rng, 6, 7, 4)
+    shared = make_jacobian(d_mat)
+    for kind in ALL_KINDS[::-1] + ALL_KINDS:
+        om = omega_variant(sm, kind)
+        got, expect = sandwich(shared, om, kind), sandwich(make_jacobian(d_mat.copy()), om, kind)
+        assert got.kind is expect.kind is kind
+        assert got.sigma_hat.tobytes() == expect.sigma_hat.tobytes()
+        assert got.std_errors.tobytes() == expect.std_errors.tobytes()
+
+
 def test_sandwich_rejects_singular_bread():
     om = omega_ctw(make_scores([[1.0], [2.0], [3.0], [4.0]],
                                [0, 0, 1, 1], [0, 1, 0, 1], 2, 2))
-    with pytest.raises(SingularJacobian):
-        sandwich(make_jacobian(np.zeros((1, 1))), om)
+    singular = make_jacobian(np.zeros((1, 1)))
+    for _ in range(2):  # a failed check is not kept, so it raises each time
+        with pytest.raises(SingularJacobian):
+            sandwich(singular, om)
     sm = random_scores(np.random.default_rng(137), 4, 4, 2)
-    near_singular = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]])
-    with pytest.raises(SingularJacobian):
-        sandwich(make_jacobian(near_singular), omega_ctw(sm))
+    near_singular = make_jacobian(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]]))
+    for kind in (CrveKind.CTW, CrveKind.CG):
+        with pytest.raises(SingularJacobian, match="eigenvalue ratio"):
+            sandwich(near_singular, omega_variant(sm, kind), kind)
 
 
 def test_t_test_null_equals_estimate():

@@ -257,6 +257,18 @@ def test_replications_run_with_one_blas_thread(monkeypatch):
     for n_jobs in (1, 2):
         rejection_experiment(small_config(reps=4), n_jobs=n_jobs)
         assert [get() for get, _ in controls] == before
+    # the non-Gaussian demo's fits run with one thread too
+    real_fit = mc.fit_qr
+
+    def checked_fit(panel, tau):
+        counts = [get() for get, _ in mc._openblas_thread_controls()]
+        if counts != [1] * len(controls):
+            raise RuntimeError(f"BLAS thread counts {counts} in a demo fit")
+        return real_fit(panel, tau)
+
+    monkeypatch.setattr(mc, "fit_qr", checked_fit)
+    nongaussian_demo(G=4, H=4, c=0.0, reps=500, seed=0)
+    assert [get() for get, _ in controls] == before
     with pytest.raises(ValueError):
         with mc._one_blas_thread():
             raise ValueError("leaves the block")
