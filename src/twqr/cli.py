@@ -15,6 +15,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from .crve import CrveKind, omega_variant, sandwich, t_test
 from .errors import InputError, InvalidConfig, NumericError
@@ -201,14 +202,8 @@ def cmd_demo_nongaussian(args: argparse.Namespace) -> int:
             writer.writerow(["index", "value"])
             for i, v in enumerate(sample):
                 writer.writerow([i, repr(float(v))])
-    summary = {
-        "G": args.G, "H": args.H, "c": args.c,
-        "reps": args.reps, "seed": args.seed,
-        "kappa": demo.summary.kappa,
-        "kurtosis_empirical": demo.summary.kurtosis_empirical,
-        "ks_vs_fitted_normal": demo.summary.ks_vs_fitted_normal,
-        "failures": demo.summary.failures,
-    }
+    summary = {"G": args.G, "H": args.H, "c": args.c, "reps": args.reps,
+               "seed": args.seed, **asdict(demo.summary)}
     with open(os.path.join(args.out, "summary.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -139,10 +139,12 @@ _NEEDS_TWO = {
 
 
 def _cluster_sums(psi: np.ndarray, idx: np.ndarray, count: int) -> np.ndarray:
-    """Per-cluster score sums, shape (count, d), from one flat bincount."""
-    d = psi.shape[1]
-    flat = ((idx * d)[:, None] + np.arange(d)).ravel()
-    return np.bincount(flat, weights=psi.ravel(), minlength=count * d).reshape(count, d)
+    """Per-cluster score sums, shape (count, d), one bincount per column.
+
+    Per column, not over one flat ``idx * d + k`` index: bincount copies
+    read-only weights whole, and ``score_matrix`` returns read-only scores.
+    """
+    return np.column_stack([np.bincount(idx, weights=col, minlength=count) for col in psi.T])
 
 
 def _memoised(obj, name: str, build):
@@ -193,7 +195,8 @@ def omega_variant(scores: ScoreMatrix, kind: CrveKind) -> OmegaComponents:
 
     The blocks are built on the first call for a ``ScoreMatrix`` and kept
     on it, read-only, so later kinds only add them up; the score arrays
-    must not be changed in place afterwards.
+    must not be changed in place afterwards (``score_matrix`` returns them
+    read-only).
     """
     kind = CrveKind(kind)
     for margins, message in _NEEDS_TWO[kind].items():
@@ -237,7 +240,8 @@ def sandwich(d_hat: JacobianEstimate, omega: OmegaComponents,
 
     The eigenvalue-ratio check and the factor of D are computed on the first
     call for a ``JacobianEstimate`` and kept on it for the other kinds, so D
-    must not be changed in place afterwards.
+    must not be changed in place afterwards (``powell_jacobian`` returns it
+    read-only).
     """
     d_mat = d_hat.d_hat
     factor = _memoised(d_hat, "_factor", _jacobian_factor)

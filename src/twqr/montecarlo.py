@@ -18,8 +18,9 @@ import contextlib
 import ctypes
 import math
 import multiprocessing
+import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 from scipy.special import ndtri
@@ -73,6 +74,36 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _coerce_numbers(obj) -> None:
+    """Make each ``int`` and ``float`` field of a frozen dataclass one.
+
+    Bools and strings are not numbers; an ``int`` takes 1000.0 but not 4.7.
+    """
+    for f in fields(obj):
+        if f.type not in ("int", "float"):  # string annotations: see the __future__ import
+            continue
+        v = getattr(obj, f.name)
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise InvalidConfig(f"{f.name} must be a number, got {v!r}")
+        if f.type == "float":
+            v = float(v)
+        elif isinstance(v, numbers.Integral) or float(v).is_integer():
+            v = int(v)
+        else:
+            raise InvalidConfig(f"{f.name} must be an integer, got {v!r}")
+        object.__setattr__(obj, f.name, v)
+
+
+def _check_keys(what: str, obj: dict, cls) -> None:
+    """Reject keys that are not fields of ``cls``, and missing required ones."""
+    unknown = set(obj) - {f.name for f in fields(cls)}
+    if unknown:
+        raise InvalidConfig(f"unknown {what} keys: {sorted(map(str, unknown))}")
+    missing = {f.name for f in fields(cls) if f.default is MISSING} - set(obj)
+    if missing:
+        raise InvalidConfig(f"missing {what} keys: {sorted(missing)}")
+
+
 @dataclass(frozen=True)
 class DgpWeights:
     """Loadings of the row (U), column (V), and cell (W) latents.
@@ -88,11 +119,11 @@ class DgpWeights:
     wWe: float = 1.0
 
     def __post_init__(self):
-        for name in ("wUx", "wVx", "wWx", "wUe", "wVe", "wWe"):
-            v = float(getattr(self, name))
+        _coerce_numbers(self)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if not (math.isfinite(v) and v >= 0.0):
-                raise InvalidConfig(f"weight {name} must be finite and >= 0, got {v}")
-            object.__setattr__(self, name, v)
+                raise InvalidConfig(f"weight {f.name} must be finite and >= 0, got {v}")
 
     @property
     def sigma_e(self) -> float:
@@ -105,10 +136,7 @@ class DgpWeights:
         return self.wUx**2 + self.wVx**2 + self.wWx**2
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "wUx": self.wUx, "wVx": self.wVx, "wWx": self.wWx,
-            "wUe": self.wUe, "wVe": self.wVe, "wWe": self.wWe,
-        }
+        return asdict(self)
 
 
 _ALL_KINDS = tuple(CrveKind)
@@ -120,7 +148,8 @@ class MonteCarloConfig:
 
     ``d`` counts regressors including the constant column, so there are
     ``d - 1`` slopes. All slope coefficients are 1 and inference targets
-    the last one.
+    the last one. The fields are the keys of a design document, and
+    ``__post_init__`` applies ``docs/schemas/simulate_config.schema.json``.
     """
 
     G: int
@@ -134,24 +163,36 @@ class MonteCarloConfig:
     null_value: float = 1.0
 
     def __post_init__(self):
+        _coerce_numbers(self)
         if self.reps < 1:
             raise InvalidConfig(f"reps must be >= 1, got {self.reps}")
         if self.G < 2 or self.H < 2:
             raise InvalidConfig(f"G and H must be >= 2, got ({self.G}, {self.H})")
         if self.d < 2:
             raise InvalidConfig(f"d must be >= 2 (constant plus a slope), got {self.d}")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.tau < 1.0:
             raise InvalidConfig(f"tau must lie in (0, 1), got {self.tau}")
-        if not isinstance(self.weights, DgpWeights):
-            object.__setattr__(self, "weights", DgpWeights(**dict(self.weights)))
+        if not math.isfinite(self.null_value):
+            raise InvalidConfig(f"null_value must be finite, got {self.null_value}")
+        if isinstance(self.weights, dict):
+            _check_keys("weights", self.weights, DgpWeights)
+            object.__setattr__(self, "weights", DgpWeights(**self.weights))
+        elif not isinstance(self.weights, DgpWeights):
+            raise InvalidConfig("weights must be an object of weight name -> value")
         if not self.weights.wWx > 0.0:
             raise InvalidConfig("wWx must be > 0 so slope regressors are nondegenerate")
+        if not isinstance(self.methods, (list, tuple)):
+            raise InvalidConfig(f"methods must be a list of estimator names, got {self.methods!r}")
         try:
             methods = tuple(CrveKind(m) for m in self.methods)
         except ValueError as exc:
             raise InvalidConfig(str(exc)) from None
         if not methods:
             raise InvalidConfig("at least one variance estimator is required")
+        if len(set(methods)) < len(methods):
+            raise InvalidConfig(f"methods must be unique, got {[k.value for k in methods]}")
         object.__setattr__(self, "methods", methods)
 
 
@@ -578,8 +619,10 @@ def nongaussian_demo(G: int, H: int, c: float, reps: int,
 
     if reps < 500:
         raise InvalidConfig(f"reps must be >= 500, got {reps}")
-    if c < 0.0:
-        raise InvalidConfig(f"c must be >= 0, got {c}")
+    if not (math.isfinite(c) and c >= 0.0):
+        raise InvalidConfig(f"c must be finite and >= 0, got {c}")
+    if seed < 0:
+        raise InvalidConfig(f"seed must be >= 0, got {seed}")
     if G < 2 or H < 2:
         raise InvalidConfig(f"G and H must be >= 2, got ({G}, {H})")
     p_plus = 0.5 + c / (2.0 * math.sqrt(H))
@@ -633,60 +676,20 @@ def nongaussian_demo(G: int, H: int, c: float, reps: int,
 
 # --- JSON / CSV plumbing ---
 
-_CONFIG_KEYS = {"G", "H", "d", "tau", "weights", "reps", "seed",
-                "methods", "null_value"}
-_REQUIRED_KEYS = {"G", "H", "d", "tau", "weights", "reps", "seed"}
-
-
 def config_from_json(obj: dict) -> MonteCarloConfig:
     """Build a config from a parsed JSON document; unknown keys are errors."""
     if not isinstance(obj, dict):
         raise InvalidConfig("config document must be a JSON object")
-    unknown = set(obj) - _CONFIG_KEYS
-    if unknown:
-        raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
-    missing = _REQUIRED_KEYS - set(obj)
-    if missing:
-        raise InvalidConfig(f"missing config keys: {sorted(missing)}")
-    if not isinstance(obj["weights"], dict):
-        raise InvalidConfig("weights must be an object of weight name -> value")
-    try:
-        weights = DgpWeights(**obj["weights"])
-    except TypeError as exc:
-        raise InvalidConfig(f"bad weights object: {exc}") from None
-    try:
-        kwargs = dict(
-            G=int(obj["G"]), H=int(obj["H"]), d=int(obj["d"]),
-            tau=float(obj["tau"]), weights=weights,
-            reps=int(obj["reps"]), seed=int(obj["seed"]),
-        )
-        if "methods" in obj:
-            kwargs["methods"] = tuple(CrveKind(m) for m in obj["methods"])
-        if "null_value" in obj:
-            kwargs["null_value"] = float(obj["null_value"])
-    except (TypeError, ValueError) as exc:
-        raise InvalidConfig(f"bad config value: {exc}") from None
-    return MonteCarloConfig(**kwargs)
+    _check_keys("config", obj, MonteCarloConfig)
+    return MonteCarloConfig(**obj)
 
 
 def config_to_json(config: MonteCarloConfig) -> dict:
-    return {
-        "G": config.G, "H": config.H, "d": config.d, "tau": config.tau,
-        "weights": config.weights.as_dict(),
-        "reps": config.reps, "seed": config.seed,
-        "methods": [kind.value for kind in config.methods],
-        "null_value": config.null_value,
-    }
+    return {**asdict(config), "methods": [kind.value for kind in config.methods]}
 
 
 def report_to_json(report: RejectionReport) -> dict:
-    return {
-        "config": config_to_json(report.config),
-        "frequencies": dict(report.frequencies),
-        "mc_se": dict(report.mc_se),
-        "reps_used": dict(report.reps_used),
-        "failures": dict(report.failures),
-    }
+    return {**asdict(report), "config": config_to_json(report.config)}
 
 
 REPORT_COLUMNS = (
@@ -700,19 +703,12 @@ REPORT_COLUMNS = (
 def report_rows(report: RejectionReport) -> list[dict]:
     """Flat plot-ready rows, one per method, columns REPORT_COLUMNS."""
     cfg = report.config
-    base = {
-        "G": cfg.G, "H": cfg.H, "d": cfg.d, "tau": cfg.tau,
-        **cfg.weights.as_dict(),
-        "reps": cfg.reps, "seed": cfg.seed, "null_value": cfg.null_value,
-    }
+    design = {**asdict(cfg), **asdict(cfg.weights)}
     rows = []
     for kind in cfg.methods:
         tag = kind.value
-        rows.append({
-            **base, "method": tag,
-            "rejection_rate": report.frequencies[tag],
-            "mc_se": report.mc_se[tag],
-            "reps_used": report.reps_used[tag],
-            "failures": report.failures[tag],
-        })
+        row = {**design, "method": tag, "rejection_rate": report.frequencies[tag],
+               "mc_se": report.mc_se[tag], "reps_used": report.reps_used[tag],
+               "failures": report.failures[tag]}
+        rows.append({col: row[col] for col in REPORT_COLUMNS})
     return rows

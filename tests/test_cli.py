@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface and its JSON documents."""
 
 import csv
+import dataclasses
 import json
 import os
 import pathlib
@@ -249,6 +250,55 @@ def test_simulate_input_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+SCHEMA_VIOLATIONS = {
+    "non-integral G": {"G": 4.7},
+    "non-integral reps": {"reps": 30.5},
+    "bool reps": {"reps": True},
+    "string G": {"G": "12"},
+    "negative seed": {"seed": -1},
+    "nan null_value": {"null_value": float("nan")},
+    "bare string methods": {"methods": "ctw"},
+    "duplicate methods": {"methods": ["ctw", "ctw"]},
+    "non-object weights": {"weights": [1.0, 1.0, 1.0, 1.0, 1.0, 1.0]},
+    "grid entry with a non-integral reps": {"grid": [{"tau": 0.25}, {"reps": 4.7}]},
+}
+
+
+@pytest.mark.parametrize("change", SCHEMA_VIOLATIONS.values(), ids=SCHEMA_VIOLATIONS)
+def test_simulate_rejects_schema_violations(tmp_path, capsys, change):
+    doc = {**json.loads(sim_config(tmp_path, reps=4).read_text(encoding="utf-8")), **change}
+    if not any(v != v for v in change.values() if isinstance(v, float)):
+        # the schema states each rule; JSON itself has no NaN
+        assert not Draft202012Validator(load_schema("simulate_config.schema.json")).is_valid(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "InvalidConfig" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_rejects_negative_seed_override(tmp_path, capsys):
+    cfg = sim_config(tmp_path, reps=4, grid=[{"tau": 0.25}])
+    assert main(["simulate", str(cfg), "--out", str(tmp_path / "out"), "--seed", "-1"]) == 2
+    assert "InvalidConfig" in capsys.readouterr().err
+
+
+def test_simulate_config_schema_matches_montecarlo_config():
+    schema = load_schema("simulate_config.schema.json")
+    names = {f.name for f in dataclasses.fields(MonteCarloConfig)}
+    required = {f.name for f in dataclasses.fields(MonteCarloConfig)
+                if f.default is dataclasses.MISSING}
+    assert set(schema["properties"]) - {"grid"} == names
+    assert set(schema["required"]) == required
+    assert set(schema["$defs"]["override"]["properties"]) == names
+    weight_names = {f.name for f in dataclasses.fields(DgpWeights)}
+    assert set(schema["$defs"]["weights"]["properties"]) == weight_names
+    # report.json echoes every field of the config
+    echoed = load_schema("rejection_report.schema.json")["$defs"]["config"]
+    assert set(echoed["properties"]) == set(echoed["required"]) == names
+    assert set(echoed["properties"]["weights"]["properties"]) == weight_names
+
+
 def test_demo_outputs_and_determinism(tmp_path, capsys):
     out1, out2 = tmp_path / "d1", tmp_path / "d2"
     args = ["demo-nongaussian", "--G", "16", "--H", "16",
@@ -273,6 +323,14 @@ def test_demo_rejects_negative_c(tmp_path, capsys):
                "--out", str(tmp_path)])
     assert rc == 2
     assert "InvalidConfig" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--seed", "-1"], ["--c", "nan"], ["--c", "inf"]])
+def test_demo_rejects_bad_seed_and_c(tmp_path, capsys, flags):
+    rc = main(["demo-nongaussian", *flags, "--reps", "500", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "InvalidConfig" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # --- import path ---

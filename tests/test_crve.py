@@ -359,6 +359,22 @@ def test_sandwich_shared_jacobian_matches_fresh():
         assert got.std_errors.tobytes() == expect.std_errors.tobytes()
 
 
+def test_memoised_inputs_are_read_only():
+    # the meat blocks and the factor of D are kept per ScoreMatrix and
+    # JacobianEstimate, so the arrays they are built from cannot be written
+    panel = random_panel(np.random.default_rng(171), 6, 5, 3)
+    fit = fit_qr(panel, 0.5)
+    scores = score_matrix(panel, fit.beta_hat, 0.5)
+    jac = powell_jacobian(panel, fit.residuals, 1.0)
+    before = sandwich(jac, omega_ctw(scores)).sigma_hat.tobytes()
+    for arr in (scores.scores, jac.d_hat):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 1e6
+        with pytest.raises(ValueError, match="read-only"):
+            arr *= 2.0
+    assert sandwich(jac, omega_ctw(scores)).sigma_hat.tobytes() == before
+
+
 def test_sandwich_rejects_singular_bread():
     om = omega_ctw(make_scores([[1.0], [2.0], [3.0], [4.0]],
                                [0, 0, 1, 1], [0, 1, 0, 1], 2, 2))

@@ -93,6 +93,45 @@ def test_config_from_json_rejects_bad_documents():
         config_from_json(bad_weights)
 
 
+# each violates a rule of docs/schemas/simulate_config.schema.json
+SCHEMA_VIOLATIONS = {
+    "non-integral G": {"G": 12.5},
+    "non-integral reps": {"reps": 40.5},
+    "bool reps": {"reps": True},
+    "bool seed": {"seed": False},
+    "string reps": {"reps": "40"},
+    "string tau": {"tau": "0.5"},
+    "negative seed": {"seed": -1},
+    "nan null_value": {"null_value": float("nan")},
+    "infinite null_value": {"null_value": float("inf")},
+    "bare string methods": {"methods": "ctw"},
+    "duplicate methods": {"methods": ["ctw", "cg", "ctw"]},
+    "list weights": {"weights": [1.0, 1.0, 1.0, 1.0, 1.0, 1.0]},
+    "string weights": {"weights": "two-way"},
+    "string weight": {"weights": {"wWx": "1.0"}},
+    "bool weight": {"weights": {"wWx": True}},
+}
+
+
+@pytest.mark.parametrize("change", SCHEMA_VIOLATIONS.values(), ids=SCHEMA_VIOLATIONS)
+def test_config_rejects_schema_violations(change):
+    doc = {**config_to_json(small_config()), **change}
+    with pytest.raises(InvalidConfig):
+        config_from_json(doc)
+    # library callers get the same rules
+    with pytest.raises(InvalidConfig):
+        MonteCarloConfig(**doc)
+
+
+def test_config_accepts_integral_floats():
+    doc = {**config_to_json(small_config()), "G": 12.0, "reps": 1000.0, "seed": 9.0}
+    cfg = config_from_json(doc)
+    assert (cfg.G, cfg.reps, cfg.seed) == (12, 1000, 9)
+    assert all(type(v) is int for v in (cfg.G, cfg.reps, cfg.seed))
+    assert cfg == small_config(reps=1000)
+    assert type(small_config(tau=np.float64(0.5), reps=np.int64(40)).reps) is int
+
+
 # --- DGP ---
 
 def test_dgp_deterministic_and_rep_varying():
@@ -479,6 +518,11 @@ def test_demo_validation():
     with pytest.raises(InvalidConfig):
         # sign probability 1/2 + c/(2 sqrt(H)) must stay <= 1
         nongaussian_demo(G=40, H=4, c=6.0, reps=600, seed=0)
+    for c in (float("nan"), float("inf")):
+        with pytest.raises(InvalidConfig):
+            nongaussian_demo(G=40, H=40, c=c, reps=600, seed=0)
+    with pytest.raises(InvalidConfig):
+        nongaussian_demo(G=40, H=40, c=0.0, reps=600, seed=-1)
 
 
 def test_demo_shape_statistics():
