@@ -158,14 +158,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if not isinstance(obj, dict):
         raise InvalidConfig("config document must be a JSON object")
     grid = obj.pop("grid", None)
-    if args.seed is not None:
-        obj["seed"] = args.seed
     if grid is None:
         designs = [obj]
     else:
         if not isinstance(grid, list) or not grid:
             raise InvalidConfig("'grid' must be a non-empty list of override objects")
         designs = [_merge_design(obj, entry) for entry in grid]
+    if args.seed is not None:
+        for design in designs:
+            design["seed"] = args.seed
     configs = [config_from_json(design) for design in designs]
     threads = _resolve_threads(args.threads)
     os.makedirs(args.out, exist_ok=True)
@@ -239,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="rejection-frequency experiments from a JSON design")
     sim.add_argument("config", help="JSON design document, optional 'grid' override list")
     sim.add_argument("--out", default=".", help="directory for report.csv / report.json")
-    sim.add_argument("--seed", type=int, default=None, help="override the config seed")
+    sim.add_argument("--seed", type=int, default=None,
+                     help="override the seed of every design, grid entries included")
     sim.add_argument("--threads", type=int, default=None,
                      help="worker processes (default: TWQR_THREADS or 1)")
     sim.set_defaults(func=cmd_simulate)

@@ -23,7 +23,7 @@ import os
 from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from .crve import CrveKind, omega_variant, sandwich, t_test
 from .errors import (
@@ -587,6 +587,45 @@ def true_bread(config: MonteCarloConfig, tau: float) -> np.ndarray:
 
 # --- non-Gaussian interaction regime ---
 
+# The demo's summary statistics, computed bit for bit as scipy.stats 1.17
+# computes them, so that no run of twqr has to import scipy.stats.
+
+def _iqr(sample: np.ndarray) -> np.float64:
+    """``scipy.stats.iqr``: difference of the "linear" (Hyndman-Fan type 7) quartiles."""
+    y = np.sort(sample)
+    n = np.float64(len(y))
+    p = np.array([0.25, 0.75])
+    jg = p * n + (1 - p)
+    jp1 = jg // 1
+    g = jg % 1
+    j = np.clip(jp1 - 1, 0.0, n - 1).astype(np.int64)
+    jp1 = np.clip(jp1, 0.0, n - 1).astype(np.int64)
+    q = (1 - g) * y[j] + g * y[jp1]
+    return q[1] - q[0]
+
+
+def _pearson_kurtosis(sample: np.ndarray) -> float:
+    """``scipy.stats.kurtosis(sample, fisher=False)``: m4 / m2**2, or NaN
+    when the sample is constant up to rounding."""
+    mean = np.mean(sample, axis=0, keepdims=True)
+    d2 = (sample - mean) ** 2
+    m2 = np.mean(d2, axis=0)
+    if m2 <= (np.finfo(np.float64).eps * mean[0]) ** 2:
+        return math.nan
+    return float(np.mean(d2**2, axis=0) / m2**2.0)
+
+
+def _ks_normal(sample: np.ndarray, loc: float, scale: float) -> float:
+    """``scipy.stats.kstest(sample, "norm", args=(loc, scale)).statistic``."""
+    if not scale > 0:
+        return math.nan
+    n = len(sample)
+    cdf = ndtr((np.sort(sample) - loc) / scale)
+    d_plus = np.max(np.arange(1.0, n + 1) / n - cdf)
+    d_minus = np.max(cdf - np.arange(0.0, n) / n)
+    return float(d_plus if d_plus > d_minus else d_minus)
+
+
 @dataclass(frozen=True)
 class NonGaussianSummary:
     kurtosis_empirical: float
@@ -615,8 +654,6 @@ def nongaussian_demo(G: int, H: int, c: float, reps: int,
     ranges against a large raw product-normal draw and reported alongside
     the samples.
     """
-    from scipy.stats import iqr, kstest, kurtosis
-
     if reps < 500:
         raise InvalidConfig(f"reps must be >= 500, got {reps}")
     if not (math.isfinite(c) and c >= 0.0):
@@ -659,11 +696,10 @@ def nongaussian_demo(G: int, H: int, c: float, reps: int,
     gen_ref = _stream(seed, 0, _ORACLE_BASE, 0)
     raw = (gen_ref.standard_normal(_REF_CALIBRATION_SIZE)
            * (gen_ref.standard_normal(_REF_CALIBRATION_SIZE) + c))
-    kappa = float(iqr(empirical) / iqr(raw))
+    kappa = float(_iqr(empirical) / _iqr(raw))
     reference = kappa * raw[:reps]
-    kurt = float(kurtosis(empirical, fisher=False))
-    ks = float(kstest(empirical, "norm",
-                      args=(empirical.mean(), empirical.std(ddof=1))).statistic)
+    kurt = _pearson_kurtosis(empirical)
+    ks = _ks_normal(empirical, empirical.mean(), empirical.std(ddof=1))
     return NonGaussianDemo(
         empirical=empirical,
         reference=reference,

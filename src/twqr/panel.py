@@ -198,12 +198,12 @@ def _dense_labels(raw: np.ndarray) -> tuple[np.ndarray, tuple]:
     Only distinct spellings are parsed; spellings that parse to the same
     label, such as ``1`` and `` 1``, share one index.
     """
-    spellings, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
-    index = np.empty(len(spellings), dtype=np.intp)
+    spellings = raw.tolist()
     labels: dict = {}
-    for k in np.argsort(first):
-        index[k] = labels.setdefault(_parse_label(spellings[k]), len(labels))
-    return index[inverse], tuple(labels)
+    index = {s: labels.setdefault(_parse_label(s), len(labels))
+             for s in dict.fromkeys(spellings)}
+    return (np.fromiter(map(index.__getitem__, spellings), dtype=np.intp, count=len(spellings)),
+            tuple(labels))
 
 
 def _load_columns(path, pos: dict, columns: list) -> PanelArray:

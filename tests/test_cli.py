@@ -277,6 +277,20 @@ def test_simulate_rejects_schema_violations(tmp_path, capsys, change):
     assert not (tmp_path / "out").exists()
 
 
+def test_simulate_seed_overrides_grid_entries(tmp_path, capsys):
+    cfg = sim_config(tmp_path, reps=4, methods=["ctw"], grid=[{"seed": 5}, {"tau": 0.25}])
+    out = tmp_path / "out"
+    assert main(["simulate", str(cfg), "--out", str(out), "--seed", "99"]) == 0
+    capsys.readouterr()
+    doc = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert [r["config"]["seed"] for r in doc["reports"]] == [99, 99]
+    # without --seed the grid entry's own seed stands
+    assert main(["simulate", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    doc = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert [r["config"]["seed"] for r in doc["reports"]] == [5, 5]
+
+
 def test_simulate_rejects_negative_seed_override(tmp_path, capsys):
     cfg = sim_config(tmp_path, reps=4, grid=[{"tau": 0.25}])
     assert main(["simulate", str(cfg), "--out", str(tmp_path / "out"), "--seed", "-1"]) == 2
@@ -342,12 +356,27 @@ def subprocess_env(**extra):
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]), **extra)
 
 
+_PRINT_SCIPY_STATS_OR_INTEGRATE = (
+    "print(sorted(m for m in sys.modules "
+    "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'integrate'])))")
+
+
 def test_cli_import_loads_no_scipy_stats_or_integrate():
-    code = ("import sys, twqr.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'integrate'])))")
+    code = "import sys, twqr.cli; " + _PRINT_SCIPY_STATS_OR_INTEGRATE
     out = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
                          capture_output=True, text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_demo_loads_no_scipy_stats_or_integrate(tmp_path):
+    code = ("import sys; from twqr.cli import main; "
+            "assert main(sys.argv[1:]) == 0; " + _PRINT_SCIPY_STATS_OR_INTEGRATE)
+    argv = ["demo-nongaussian", "--G", "8", "--H", "8", "--reps", "500",
+            "--out", str(tmp_path / "demo")]
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=subprocess_env(),
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+    assert (tmp_path / "demo" / "summary.json").exists()
 
 
 def test_fit_output_independent_of_blas_threads(tmp_path):

@@ -1,7 +1,9 @@
 """Tests for the DGP, rejection experiments, variance oracles, and the demo."""
 
+import math
 import multiprocessing
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -545,3 +547,61 @@ def test_demo_deterministic():
     assert_array_equal(a.reference, b.reference)
     c = nongaussian_demo(G=20, H=20, c=0.5, reps=500, seed=4)
     assert not np.array_equal(a.empirical, c.empirical)
+
+
+def _same_float(a, b):
+    a, b = float(a), float(b)
+    return (math.isnan(a) and math.isnan(b)) or np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def _summary_samples():
+    rng = np.random.default_rng(20261018)
+    for i in range(1200):
+        n = 500 if i % 10 == 0 else int(rng.integers(500, 3001))
+        kind = i % 5
+        if kind == 0:
+            yield rng.standard_normal(n)
+        elif kind == 1:  # the demo's product-normal limit
+            yield rng.standard_normal(n) * (rng.standard_normal(n) + rng.uniform(0.0, 2.0))
+        elif kind == 2:  # heavy tails
+            yield rng.standard_cauchy(n) * 10.0 ** rng.uniform(-3, 3)
+        elif kind == 3:  # tied values
+            yield np.round(rng.standard_normal(n), 1)
+        else:
+            yield rng.integers(-3, 4, n).astype(float)
+    yield rng.standard_normal(200_000) * rng.standard_normal(200_000)
+    for value in (0.0, 0.1, -7.25):  # constant: scipy's kurtosis is NaN
+        yield np.full(500, value)
+
+
+def test_summary_statistics_match_scipy_stats_bit_for_bit():
+    from scipy.stats import iqr, kstest, kurtosis
+
+    count = 0
+    for x in _summary_samples():
+        loc, scale = x.mean(), x.std(ddof=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # scipy on constant samples
+            want = (iqr(x), kurtosis(x, fisher=False),
+                    kstest(x, "norm", args=(loc, scale)).statistic)
+        got = (mc._iqr(x), mc._pearson_kurtosis(x), mc._ks_normal(x, loc, scale))
+        assert all(map(_same_float, got, want)), (len(x), got, want)
+        count += 1
+    assert count >= 1000
+    assert math.isnan(mc._pearson_kurtosis(np.zeros(500)))
+
+
+def test_demo_summary_matches_scipy_stats():
+    from scipy.stats import iqr, kstest, kurtosis
+
+    c, seed = 0.5, 7
+    demo = nongaussian_demo(G=12, H=12, c=c, reps=500, seed=seed)
+    gen_ref = mc._stream(seed, 0, mc._ORACLE_BASE, 0)
+    raw = (gen_ref.standard_normal(mc._REF_CALIBRATION_SIZE)
+           * (gen_ref.standard_normal(mc._REF_CALIBRATION_SIZE) + c))
+    e = demo.empirical
+    assert demo.summary.kappa == float(iqr(e) / iqr(raw))
+    assert demo.summary.kurtosis_empirical == float(kurtosis(e, fisher=False))
+    assert demo.summary.ks_vs_fitted_normal == float(
+        kstest(e, "norm", args=(e.mean(), e.std(ddof=1))).statistic)
+    assert demo.reference.tobytes() == (demo.summary.kappa * raw[:500]).tobytes()
