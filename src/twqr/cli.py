@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -72,6 +73,8 @@ def _parse_nulls(raw: str | None, d: int) -> list[float]:
         vals = [float(tok) for tok in raw.split(",")]
     except ValueError:
         raise InvalidConfig(f"--null must be comma-separated floats, got {raw!r}") from None
+    if not all(map(math.isfinite, vals)):
+        raise InvalidConfig(f"--null values must be finite, got {raw!r}")
     if len(vals) == 1:
         return vals * d
     if len(vals) != d:
@@ -80,12 +83,14 @@ def _parse_nulls(raw: str | None, d: int) -> list[float]:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    if args.bandwidth is not None and not args.bandwidth > 0.0:
-        raise InvalidConfig(f"--bandwidth must be > 0, got {args.bandwidth}")
+    if args.bandwidth is not None and not 0.0 < args.bandwidth < math.inf:
+        raise InvalidConfig(f"--bandwidth must be finite and > 0, got {args.bandwidth}")
+    schema = _fit_schema(args)
+    nulls = _parse_nulls(args.null, len(schema["x"]))
     # OpenBLAS results can depend on its thread count, so a fit must not
     # depend on the machine's core count
     with _one_blas_thread():
-        panel = load_csv(args.input, _fit_schema(args))
+        panel = load_csv(args.input, schema)
         fit = fit_qr(panel, args.tau)
         if args.bandwidth is not None:
             ell, bw_source = float(args.bandwidth), "override"
@@ -93,7 +98,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
             ell, bw_source = rule_of_thumb_bandwidth(panel, fit.residuals, args.tau).ell, "rule_of_thumb"
         jac = powell_jacobian(panel, fit.residuals, ell)
         scores = score_matrix(panel, fit.beta_hat, args.tau)
-        nulls = _parse_nulls(args.null, panel.d)
         kinds = list(dict.fromkeys(CrveKind(k) for k in (args.crve or ["ctw"])))
         methods = {}
         for kind in kinds:

@@ -67,6 +67,12 @@ class PanelArray:
     h_labels: tuple = field(default=())
 
     def __post_init__(self):
+        if not self.g_labels:
+            object.__setattr__(self, "g_labels", tuple(range(self.G)))
+        if not self.h_labels:
+            object.__setattr__(self, "h_labels", tuple(range(self.H)))
+        if len(self.g_labels) != self.G or len(self.h_labels) != self.H:
+            raise DimensionMismatch("g_labels and h_labels must number G and H")
         g_idx = np.ascontiguousarray(np.asarray(self.g_idx, dtype=np.intp))
         h_idx = np.ascontiguousarray(np.asarray(self.h_idx, dtype=np.intp))
         y = np.ascontiguousarray(np.asarray(self.y, dtype=np.float64))
@@ -87,7 +93,7 @@ class PanelArray:
             repeats = np.ones(n, dtype=bool)
             repeats[first] = False
             row = np.argmax(repeats)  # the first row that repeats an earlier cell
-            raise DuplicateCell(self._raw_g(int(g_idx[row])), self._raw_h(int(h_idx[row])))
+            raise DuplicateCell(self.g_labels[g_idx[row]], self.h_labels[h_idx[row]])
         if not (np.isfinite(y).all() and np.isfinite(x).all()):
             raise InputError("y and x entries must all be finite")
         for arr in (g_idx, h_idx, y, x):
@@ -96,16 +102,6 @@ class PanelArray:
         object.__setattr__(self, "h_idx", h_idx)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "x", x)
-        if not self.g_labels:
-            object.__setattr__(self, "g_labels", tuple(range(self.G)))
-        if not self.h_labels:
-            object.__setattr__(self, "h_labels", tuple(range(self.H)))
-
-    def _raw_g(self, g: int):
-        return self.g_labels[g] if self.g_labels else g
-
-    def _raw_h(self, h: int):
-        return self.h_labels[h] if self.h_labels else h
 
     @property
     def n(self) -> int:
@@ -170,6 +166,9 @@ def load_csv(path, schema: dict) -> PanelArray:
         Column-name map with keys ``g``, ``h``, ``y`` and ``x`` (a list of
         regressor column names).
 
+    The whole file is parsed before any cell is checked, so a field that
+    does not parse outranks a repeated cell on an earlier row.
+
     Raises
     ------
     MissingColumn, ParseFailure, DuplicateCell, EmptyFile
@@ -185,20 +184,26 @@ def load_csv(path, schema: dict) -> PanelArray:
             raise MissingColumn(col)
     pos = {col: header.index(col) for col in columns}
     try:
-        return _load_columns(path, pos, columns)
+        g, h, y, x = _load_columns(path, pos, columns)
     except ValueError:
         # Ragged or whitespace-only rows, or numerals that only float()
         # accepts: the row-wise pass reads these or names the bad field.
-        return _load_rows(path, pos, columns)
+        g, h, y, x = _load_rows(path, pos, columns)
+    if len(y) == 0:
+        raise EmptyFile(f"{path}: header only, no data rows")
+    g_idx, g_labels = _dense_labels(g)
+    h_idx, h_labels = _dense_labels(h)
+    return PanelArray(G=len(g_labels), H=len(h_labels), g_idx=g_idx, h_idx=h_idx,
+                      y=y, x=x, g_labels=g_labels, h_labels=h_labels)
 
 
-def _dense_labels(raw: np.ndarray) -> tuple[np.ndarray, tuple]:
+def _dense_labels(raw) -> tuple[np.ndarray, tuple]:
     """First-appearance indices and labels for a column of raw label strings.
 
     Only distinct spellings are parsed; spellings that parse to the same
     label, such as ``1`` and `` 1``, share one index.
     """
-    spellings = raw.tolist()
+    spellings = list(raw)
     labels: dict = {}
     index = {s: labels.setdefault(_parse_label(s), len(labels))
              for s in dict.fromkeys(spellings)}
@@ -206,11 +211,11 @@ def _dense_labels(raw: np.ndarray) -> tuple[np.ndarray, tuple]:
             tuple(labels))
 
 
-def _load_columns(path, pos: dict, columns: list) -> PanelArray:
+def _load_columns(path, pos: dict, columns: list):
     """Column-wise reader for well-formed files: one pass of numpy's C reader.
 
-    Raises ValueError when a field does not parse as numpy reads it; the
-    row-wise pass then decides.
+    Returns the g and h label spellings, y and x. Raises ValueError when a
+    field does not parse as numpy reads it; the row-wise pass then decides.
     """
     values = [f"v{j}" for j in range(len(columns) - 2)]  # y, then each x
     # object, not a fixed-width str dtype, which would drop trailing NULs
@@ -221,32 +226,17 @@ def _load_columns(path, pos: dict, columns: list) -> PanelArray:
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             records = np.loadtxt(fh, dtype=dtype, usecols=[pos[c] for c in columns],
                                  delimiter=",", quotechar='"', comments=None, ndmin=1)
-    if len(records) == 0:
-        raise EmptyFile(f"{path}: header only, no data rows")
-    g_idx, g_labels = _dense_labels(records["g"])
-    h_idx, h_labels = _dense_labels(records["h"])
-    return PanelArray(
-        G=len(g_labels),
-        H=len(h_labels),
-        g_idx=g_idx,
-        h_idx=h_idx,
-        y=records[values[0]],
-        x=np.column_stack([records[v] for v in values[1:]]),
-        g_labels=g_labels,
-        h_labels=h_labels,
-    )
+    return (records["g"], records["h"], records[values[0]],
+            np.column_stack([records[v] for v in values[1:]]))
 
 
-def _load_rows(path, pos: dict, columns: list) -> PanelArray:
-    """Row-at-a-time reader: the reference semantics and every ParseFailure."""
+def _load_rows(path, pos: dict, columns: list):
+    """Row-at-a-time reader: the reference parse and every ParseFailure."""
     g_col, h_col, y_col, *x_cols = columns
+    gs, hs, ys, xs = [], [], [], []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         next(reader, None)  # header
-        g_map: dict = {}
-        h_map: dict = {}
-        seen: set = set()
-        g_idx, h_idx, ys, xs = [], [], [], []
         nrow = 0
         for row in reader:
             if not row or all(not c.strip() for c in row):
@@ -266,29 +256,11 @@ def _load_rows(path, pos: dict, columns: list) -> PanelArray:
                 except ValueError:
                     raise ParseFailure(nrow, col, text) from None
 
-            g_raw = _parse_label(_field(g_col))
-            h_raw = _parse_label(_field(h_col))
-            if (g_raw, h_raw) in seen:
-                raise DuplicateCell(g_raw, h_raw)
-            seen.add((g_raw, h_raw))
-            gi = g_map.setdefault(g_raw, len(g_map))
-            hi = h_map.setdefault(h_raw, len(h_map))
-            g_idx.append(gi)
-            h_idx.append(hi)
+            gs.append(_field(g_col))
+            hs.append(_field(h_col))
             ys.append(_num(y_col))
             xs.append([_num(c) for c in x_cols])
-        if nrow == 0:
-            raise EmptyFile(f"{path}: header only, no data rows")
-    return PanelArray(
-        G=len(g_map),
-        H=len(h_map),
-        g_idx=np.array(g_idx, dtype=np.intp),
-        h_idx=np.array(h_idx, dtype=np.intp),
-        y=np.array(ys, dtype=np.float64),
-        x=np.array(xs, dtype=np.float64),
-        g_labels=tuple(g_map),
-        h_labels=tuple(h_map),
-    )
+    return gs, hs, ys, xs
 
 
 _WRITE_CHUNK_ROWS = 10_000

@@ -162,7 +162,18 @@ def test_fit_usage_errors(tmp_path, capsys):
     assert main(["fit", str(path), "--tau", "1.5"]) == 2
     assert main(["fit", str(tmp_path / "missing.csv")]) == 2
     assert main(["fit", str(path), "--null", "1,2"]) == 2  # needs 1 or d values
-    capsys.readouterr()
+    # JSON has no token for a non-finite null value or bandwidth
+    for flags in (["--null", "nan"], ["--null", "inf"], ["--null", "0,-inf,0"],
+                  ["--bandwidth", "inf"], ["--bandwidth", "nan"]):
+        capsys.readouterr()
+        assert main(["fit", str(path), *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "InvalidConfig" in err
+    # --null is checked before the file is read
+    bad = tmp_path / "bad.csv"
+    bad.write_text("g,h,y,x1\na,1,oops,1.0\n", encoding="utf-8")
+    assert main(["fit", str(bad), "--null", "1,2"]) == 2
+    assert "InvalidConfig" in capsys.readouterr().err
 
 
 def test_fit_short_row_is_an_input_error(tmp_path, capsys):

@@ -157,6 +157,11 @@ def test_constructor_rejects_bad_shapes_and_values():
     with pytest.raises(DuplicateCell):
         PanelArray(G=2, H=2, g_idx=[0, 0, 0, 1], h_idx=[0, 1, 1, 1],
                    y=ones, x=np.ones((4, 1)))
+    # given labels must name every cluster, or write_csv cannot render them
+    for labels in ({"g_labels": ("a",)}, {"h_labels": ("x", "y", "z")}):
+        with pytest.raises(DimensionMismatch):
+            PanelArray(G=2, H=2, g_idx=[0, 0, 1, 1], h_idx=[0, 1, 0, 1],
+                       y=ones, x=np.ones((4, 1)), **labels)
 
 
 def test_constructor_names_first_duplicate_in_row_order():
@@ -291,6 +296,9 @@ PARITY_FILES = {
     "nul_in_label": ("g,h,y,x1\na\x00,1,1.0,2.0\na,1,3.0,4.0\n", True),
     "header_spans_lines": ('g,h,y,x1,"note\nmore"\na,1,1.0,2.0,z\nb,1,3.0,4.0,z\n', True),
     "utf8_bom": ("\ufeffg,h,y,x1\na,1,1.0,2.0\nb,1,3.0,4.0\n", True),
+    "duplicate_then_parse_failure": ("g,h,y,x1\na,1,1.0,2.0\na,1,3.0,4.0\nb,1,oops,4.0\n",
+                                     False),
+    "duplicate_across_blank_row": ("g,h,y,x1\na,1,1.0,2.0\n , , , \na,1,3.0,4.0\n", False),
 }
 
 
@@ -326,6 +334,13 @@ def test_columnar_edge_cases_read_as_intended(tmp_path):
     with pytest.raises(DuplicateCell) as dup:
         load_csv(load("duplicates_out_of_flat_order"), SCHEMA)
     assert (dup.value.g, dup.value.h) == ("b", 2)
+    # the whole file is parsed before any cell is checked for a repeat
+    with pytest.raises(ParseFailure) as err:
+        load_csv(load("duplicate_then_parse_failure"), SCHEMA)
+    assert (err.value.row, err.value.column, err.value.value) == (3, "y", "oops")
+    with pytest.raises(DuplicateCell) as dup:
+        load_csv(load("duplicate_across_blank_row"), SCHEMA)
+    assert (dup.value.g, dup.value.h) == ("a", 1)
     assert load_csv(load("nul_in_label"), SCHEMA).g_labels == ("a\x00", "a")
     panel = load_csv(load("single_row"), SCHEMA)
     assert (panel.G, panel.H, panel.n) == (1, 1, 1)
