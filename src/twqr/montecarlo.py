@@ -1,10 +1,11 @@
 """Monte Carlo engine for two-way arrays.
 
 Implements the additive latent-factor data generating process, rejection
-frequency experiments across the variance estimator families, a nested
-simulation oracle for the variance components of the quantile score, and a
-median-regression demonstration of the multiplicative interaction regime
-whose limit is a product of normals.
+frequency experiments across the variance estimator families, an oracle
+for the variance components of the quantile score (outer Monte Carlo
+draws, conditional means in closed form), and a median-regression
+demonstration of the multiplicative interaction regime whose limit is a
+product of normals.
 
 Every replication is a pure function of (seed, replication index) through
 counter-based RNG streams, so results do not depend on worker counts:
@@ -60,7 +61,9 @@ NOMINAL_LEVEL = 0.05
 FAILURE_TOLERANCE = 0.01   # more than this share of failed reps aborts a run
 
 # Stream ids: 0-2 row/column/cell regressor latents (substream per slope),
-# 3-5 row/column/cell error latents, 8+ oracle and reference draws.
+# 3-5 row/column/cell error latents; 8, 9 and 13 the oracle's row, column
+# and cell draws (8 also the demo's reference sample); 14 the direct score
+# variance. 10-12 held the oracle's former inner draws: retired, not reused.
 _UX, _VX, _WX, _UE, _VE, _WE = 0, 1, 2, 3, 4, 5
 _ORACLE_BASE = 8
 _DIRECT_STREAM = 14
@@ -408,7 +411,7 @@ def rejection_experiment(config: MonteCarloConfig, n_jobs: int = 1) -> Rejection
 
 @dataclass(frozen=True)
 class VarianceOracle:
-    """Nested-simulation estimates of the score variance components.
+    """Score variance components from exact conditional means.
 
     sigma_I2/II2 are the variances of the score's conditional mean given
     the row / column latents; III the interaction remainder given both;
@@ -418,8 +421,9 @@ class VarianceOracle:
         omega_GH = (H·sigma_I2 + G·sigma_II2 + sigma_III2 + sigma_IV2) / (G·H)
 
     r_GH is the implied convergence rate min(G/sigma_I2, H/sigma_II2, GH)
-    evaluated at the leading diagonal entry. Each component is a sample
-    covariance of an explicitly constructed projection, hence PSD.
+    evaluated at the leading diagonal entry. Each conditional mean is
+    computed in closed form, and each component is a sample covariance of
+    ``mc_outer`` draws of an explicitly constructed projection, hence PSD.
     """
 
     sigma_I2: np.ndarray
@@ -428,52 +432,42 @@ class VarianceOracle:
     sigma_IV2: np.ndarray
     omega_GH: np.ndarray
     r_GH: float
-    mc_inner: int
     mc_outer: int
 
 
-def _psi_mean(w: DgpWeights, tau: float, q: float, slope_base: np.ndarray,
-              err_base: float, gen: np.random.Generator, m: int, k: int,
-              draw_row: bool, draw_col: bool, draw_cell: bool) -> np.ndarray:
-    """Inner integral: mean score over fresh draws of the unconditioned latents.
+def _psi_mean(tau: float, q: float, slope_base: np.ndarray,
+              err_base: np.ndarray, s_rest: float) -> np.ndarray:
+    """Mean score given the conditioned latents, one row per outer draw.
 
     ``slope_base``/``err_base`` hold the contribution of the conditioned
-    latents; the three flags select which latents to integrate out. Scores
-    are evaluated at the true coefficients, where the indicator threshold
-    is the error's tau-quantile.
+    latents and ``s_rest`` is the standard deviation of the error loads
+    integrated out. Scores are evaluated at the true coefficients, where
+    the indicator threshold is the error's tau-quantile, so the weight's
+    mean is tau - Phi((q - err_base) / s_rest); the slope noise integrated
+    out is centred and independent of the error, so the slopes' mean is
+    slope_base times that weight. With nothing left to integrate out of
+    the error (s_rest = 0) the weight is the indicator itself.
     """
-    slopes = np.broadcast_to(slope_base, (m, k)).copy()
-    err = np.full(m, err_base)
-    if draw_row:
-        slopes += w.wUx * gen.standard_normal((m, k))
-        err += w.wUe * gen.standard_normal(m)
-    if draw_col:
-        slopes += w.wVx * gen.standard_normal((m, k))
-        err += w.wVe * gen.standard_normal(m)
-    if draw_cell:
-        slopes += w.wWx * gen.standard_normal((m, k))
-        err += w.wWe * gen.standard_normal(m)
-    weight = tau - (err <= q)
-    out = np.empty(k + 1)
-    out[0] = weight.mean()
-    out[1:] = (slopes * weight[:, None]).mean(axis=0)
-    return out
+    if s_rest > 0.0:
+        weight = tau - ndtr((q - err_base) / s_rest)
+    else:
+        weight = tau - (err_base <= q)
+    return np.column_stack((weight, slope_base * weight[:, None]))
 
 
-def oracle_variance_components(config: MonteCarloConfig, tau: float,
-                               mc_inner: int, mc_outer: int = 2000,
+def oracle_variance_components(config: MonteCarloConfig, tau: float, *,
+                               mc_outer: int = 2000,
                                seed: int | None = None) -> VarianceOracle:
-    """Variance components of the score by nested Monte Carlo.
+    """Variance components of the score over outer Monte Carlo draws.
 
-    Outer draws of the row and column latents; inner draws of whatever a
-    component's conditional mean integrates out (cell latents, plus the
-    other margin's latents for the one-way projections). Components are
-    sample covariances of constructed projection samples, so each is PSD
-    by construction and their near-additivity to the direct score variance
-    stays a checkable fact rather than an identity.
+    Outer draws of the row and column latents, and of one cell; each
+    component's conditional mean integrates out the rest (cell latents,
+    plus the other margin's latents for the one-way projections) in
+    closed form. Components are sample covariances of the constructed
+    projection samples, so each is PSD by construction and their
+    near-additivity to the direct score variance stays a checkable fact
+    rather than an identity.
     """
-    if mc_inner < 10_000:
-        raise InvalidConfig(f"mc_inner must be >= 10000, got {mc_inner}")
     if mc_outer < 2:
         raise InvalidConfig(f"mc_outer must be >= 2, got {mc_outer}")
     if seed is None:
@@ -481,43 +475,22 @@ def oracle_variance_components(config: MonteCarloConfig, tau: float,
     w = config.weights
     k = config.d - 1
     q = w.sigma_e * float(ndtri(tau))
-    m = mc_inner
-    row_means = np.empty((mc_outer, k + 1))
-    col_means = np.empty((mc_outer, k + 1))
-    pair_means = np.empty((mc_outer, k + 1))
-    cell_resid = np.empty((mc_outer, k + 1))
-    for i in range(mc_outer):
-        gen_u = _stream(seed, i, _ORACLE_BASE, 0)
-        gen_v = _stream(seed, i, _ORACLE_BASE + 1, 0)
-        ux = gen_u.standard_normal(k)
-        ue = float(gen_u.standard_normal())
-        vx = gen_v.standard_normal(k)
-        ve = float(gen_v.standard_normal())
-        row_base = w.wUx * ux
-        col_base = w.wVx * vx
-        row_means[i] = _psi_mean(
-            w, tau, q, row_base, w.wUe * ue,
-            _stream(seed, i, _ORACLE_BASE + 2, 0), m, k,
-            draw_row=False, draw_col=True, draw_cell=True,
-        )
-        col_means[i] = _psi_mean(
-            w, tau, q, col_base, w.wVe * ve,
-            _stream(seed, i, _ORACLE_BASE + 3, 0), m, k,
-            draw_row=True, draw_col=False, draw_cell=True,
-        )
-        pair_base = row_base + col_base
-        pair_err = w.wUe * ue + w.wVe * ve
-        pair_means[i] = _psi_mean(
-            w, tau, q, pair_base, pair_err,
-            _stream(seed, i, _ORACLE_BASE + 4, 0), m, k,
-            draw_row=False, draw_col=False, draw_cell=True,
-        )
-        gen_cell = _stream(seed, i, _ORACLE_BASE + 5, 0)
-        one_slope = pair_base + w.wWx * gen_cell.standard_normal(k)
-        one_err = pair_err + w.wWe * float(gen_cell.standard_normal())
-        weight = tau - (1.0 if one_err <= q else 0.0)
-        psi = np.concatenate(([weight], one_slope * weight))
-        cell_resid[i] = psi - pair_means[i]
+    # Each outer draw takes a row, a column and a cell, each from its own
+    # stream: k slope latents, then the error latent.
+    row, col, cell = (
+        np.array([_stream(seed, i, s, 0).standard_normal(k + 1) for i in range(mc_outer)])
+        for s in (_ORACLE_BASE, _ORACLE_BASE + 1, _ORACLE_BASE + 5)
+    )
+    row_base, row_err = w.wUx * row[:, :k], w.wUe * row[:, k]
+    col_base, col_err = w.wVx * col[:, :k], w.wVe * col[:, k]
+    pair_base, pair_err = row_base + col_base, row_err + col_err
+    row_means = _psi_mean(tau, q, row_base, row_err, math.hypot(w.wVe, w.wWe))
+    col_means = _psi_mean(tau, q, col_base, col_err, math.hypot(w.wUe, w.wWe))
+    pair_means = _psi_mean(tau, q, pair_base, pair_err, w.wWe)
+    # a cell's score is its own mean given all of its latents
+    psi = _psi_mean(tau, q, pair_base + w.wWx * cell[:, :k],
+                    pair_err + w.wWe * cell[:, k], 0.0)
+    cell_resid = psi - pair_means
     sigma_i = np.atleast_2d(np.cov(row_means, rowvar=False))
     sigma_ii = np.atleast_2d(np.cov(col_means, rowvar=False))
     sigma_iii = np.atleast_2d(np.cov(pair_means - row_means - col_means, rowvar=False))
@@ -532,7 +505,7 @@ def oracle_variance_components(config: MonteCarloConfig, tau: float,
     return VarianceOracle(
         sigma_I2=sigma_i, sigma_II2=sigma_ii, sigma_III2=sigma_iii,
         sigma_IV2=sigma_iv, omega_GH=omega, r_GH=r,
-        mc_inner=mc_inner, mc_outer=mc_outer,
+        mc_outer=mc_outer,
     )
 
 

@@ -305,7 +305,11 @@ def write_csv(panel: PanelArray, path, schema: dict | None = None) -> None:
 
 
 def validate(panel: PanelArray) -> ValidationReport:
-    """Diagnostic pass: missing cells, duplicates, and numeric design rank."""
+    """Diagnostic pass: missing cells, numeric design rank and G, H >= 2.
+
+    ``duplicate_count`` is always 0: ``PanelArray`` raises ``DuplicateCell``
+    when it is built, so no panel passed here can hold a duplicate cell.
+    """
     missing = panel.G * panel.H - panel.n
     sv = np.linalg.svd(panel.x, compute_uv=False)
     rank = int(np.sum(sv > RANK_TOL * sv[0])) if sv.size else 0

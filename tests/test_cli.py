@@ -157,6 +157,14 @@ def test_fit_overflowing_design_is_a_numeric_error(tmp_path, capsys):
     assert "error: NonpositiveBandwidth" in capsys.readouterr().err
 
 
+def test_fit_zero_kernel_hits_is_a_numeric_error(tmp_path, capsys):
+    # no residual lies within so tiny a bandwidth, so the Jacobian is zero
+    path = panel_csv(tmp_path)
+    assert main(["fit", str(path), "--bandwidth", "1e-300"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "SingularJacobian" in err
+
+
 def test_fit_usage_errors(tmp_path, capsys):
     path = panel_csv(tmp_path)
     assert main(["fit", str(path), "--tau", "1.5"]) == 2

@@ -403,19 +403,74 @@ def test_report_serialization():
 
 # --- variance oracles ---
 
-def test_oracle_rejects_small_inner_sample():
+def test_oracle_rejects_small_outer_sample_and_positional_sizes():
     cfg = small_config()
     with pytest.raises(InvalidConfig):
-        oracle_variance_components(cfg, 0.5, mc_inner=5000)
-    with pytest.raises(InvalidConfig):
-        oracle_variance_components(cfg, 0.5, mc_inner=10_000, mc_outer=1)
+        oracle_variance_components(cfg, 0.5, mc_outer=1)
+    # the sample sizes are keyword-only: a stale positional inner sample
+    # size must not become mc_outer
+    with pytest.raises(TypeError):
+        oracle_variance_components(cfg, 0.5, 10_000)
+
+
+def nested_psi_mean(w, tau, q, slope_base, err_base, gen, m, k,
+                    draw_row, draw_col, draw_cell):
+    """Reference inner integral: mean score over m fresh draws of the
+    unconditioned latents, with the Monte Carlo standard error of each
+    entry."""
+    slopes = np.broadcast_to(slope_base, (m, k)).copy()
+    err = np.full(m, err_base)
+    if draw_row:
+        slopes += w.wUx * gen.standard_normal((m, k))
+        err += w.wUe * gen.standard_normal(m)
+    if draw_col:
+        slopes += w.wVx * gen.standard_normal((m, k))
+        err += w.wVe * gen.standard_normal(m)
+    if draw_cell:
+        slopes += w.wWx * gen.standard_normal((m, k))
+        err += w.wWe * gen.standard_normal(m)
+    weight = tau - (err <= q)
+    psi = np.column_stack((weight, slopes * weight[:, None]))
+    return psi.mean(axis=0), psi.std(axis=0, ddof=1) / np.sqrt(m)
+
+
+@pytest.mark.parametrize("weights, tau", [
+    (TWO_WAY, 0.5),
+    (DgpWeights(0.5, 1.2, 0.8, 1.5, 0.4, 0.9), 0.3),
+    (DgpWeights(1.0, 1.0, 1.0, 1.0, 1.0, 0.0), 0.5),
+], ids=["acceptance_design", "unequal_weights", "no_cell_error"])
+def test_oracle_closed_form_matches_nested_simulation(weights, tau):
+    cfg = MonteCarloConfig(G=50, H=50, d=10, tau=tau, weights=weights,
+                           reps=1, seed=12)
+    w, k = cfg.weights, cfg.d - 1
+    q = w.sigma_e * scipy_norm.ppf(tau)
+    rng = np.random.default_rng(2026)
+    for _ in range(3):  # outer draws of the row and column latents
+        ux, vx = rng.standard_normal(k), rng.standard_normal(k)
+        ue, ve = rng.standard_normal(), rng.standard_normal()
+        projections = (  # base slope, base error, sd integrated out, flags
+            (w.wUx * ux, w.wUe * ue, math.hypot(w.wVe, w.wWe), (False, True, True)),
+            (w.wVx * vx, w.wVe * ve, math.hypot(w.wUe, w.wWe), (True, False, True)),
+            (w.wUx * ux + w.wVx * vx, w.wUe * ue + w.wVe * ve, w.wWe,
+             (False, False, True)),
+        )
+        for slope_base, err_base, s_rest, flags in projections:
+            exact = mc._psi_mean(tau, q, slope_base[None, :],
+                                 np.array([err_base]), s_rest)[0]
+            ref, se = nested_psi_mean(w, tau, q, slope_base, err_base, rng,
+                                      100_000, k, *flags)
+            assert (np.abs(exact - ref) <= 4.0 * se + 1e-12).all()
+    orc = oracle_variance_components(cfg, tau, mc_outer=200, seed=12)
+    for comp in (orc.sigma_I2, orc.sigma_II2, orc.sigma_III2, orc.sigma_IV2,
+                 orc.omega_GH):
+        assert np.isfinite(comp).all()
+    assert np.isfinite(orc.r_GH)
 
 
 def test_oracle_pure_iid_components():
     cfg = MonteCarloConfig(G=20, H=20, d=2, tau=0.5, weights=PURE_IID,
                            reps=1, seed=5)
-    orc = oracle_variance_components(cfg, 0.5, mc_inner=10_000, mc_outer=800,
-                                     seed=5)
+    orc = oracle_variance_components(cfg, 0.5, mc_outer=800, seed=5)
     # no shared latents: every projection on U or V is flat
     assert np.abs(orc.sigma_I2).max() < 1e-3
     assert np.abs(orc.sigma_II2).max() < 1e-3
@@ -432,8 +487,7 @@ def test_oracle_symmetric_design():
     cfg = MonteCarloConfig(
         G=20, H=20, d=2, tau=0.5, reps=1, seed=6,
         weights=DgpWeights(0.7, 0.7, 1.0, 0.7, 0.7, 1.0))
-    orc = oracle_variance_components(cfg, 0.5, mc_inner=10_000, mc_outer=600,
-                                     seed=6)
+    orc = oracle_variance_components(cfg, 0.5, mc_outer=600, seed=6)
     k = 600
     band = 3.0 * np.sqrt(cov_entry_se(orc.sigma_I2, k) ** 2
                          + cov_entry_se(orc.sigma_II2, k) ** 2)
@@ -443,8 +497,7 @@ def test_oracle_symmetric_design():
 def test_oracle_orthogonality_sums_to_direct_variance():
     cfg = MonteCarloConfig(G=20, H=20, d=2, tau=0.5, weights=TWO_WAY,
                            reps=1, seed=7)
-    orc = oracle_variance_components(cfg, 0.5, mc_inner=10_000, mc_outer=600,
-                                     seed=7)
+    orc = oracle_variance_components(cfg, 0.5, mc_outer=600, seed=7)
     total = orc.sigma_I2 + orc.sigma_II2 + orc.sigma_III2 + orc.sigma_IV2
     direct = direct_score_variance(cfg, 0.5, n_draws=200_000, seed=7)
     k = 600
@@ -459,8 +512,7 @@ def test_oracle_orthogonality_sums_to_direct_variance():
 def test_oracle_psd_components_and_omega_identity():
     cfg = MonteCarloConfig(G=15, H=10, d=2, tau=0.3, weights=TWO_WAY,
                            reps=1, seed=8)
-    orc = oracle_variance_components(cfg, 0.3, mc_inner=10_000, mc_outer=300,
-                                     seed=8)
+    orc = oracle_variance_components(cfg, 0.3, mc_outer=300, seed=8)
     for comp in (orc.sigma_I2, orc.sigma_II2, orc.sigma_III2, orc.sigma_IV2):
         vals = np.linalg.eigvalsh(comp)
         assert vals.min() >= -1e-10 * max(1.0, vals.max())
@@ -473,8 +525,8 @@ def test_oracle_psd_components_and_omega_identity():
 
 def test_oracle_is_deterministic_given_seed():
     cfg = small_config()
-    a = oracle_variance_components(cfg, 0.5, mc_inner=10_000, mc_outer=50, seed=4)
-    b = oracle_variance_components(cfg, 0.5, mc_inner=10_000, mc_outer=50, seed=4)
+    a = oracle_variance_components(cfg, 0.5, mc_outer=50, seed=4)
+    b = oracle_variance_components(cfg, 0.5, mc_outer=50, seed=4)
     assert_array_equal(a.sigma_IV2, b.sigma_IV2)
     assert_array_equal(a.omega_GH, b.omega_GH)
 
@@ -496,8 +548,7 @@ def test_infeasible_oracle_test_has_nominal_size():
     # to the nominal 5% level
     cfg = MonteCarloConfig(G=50, H=50, d=3, tau=0.5, weights=TWO_WAY,
                            reps=2000, seed=33)
-    orc = oracle_variance_components(cfg, 0.5, mc_inner=20_000, mc_outer=1500,
-                                     seed=33)
+    orc = oracle_variance_components(cfg, 0.5, mc_outer=1500, seed=33)
     d_inv = np.linalg.inv(true_bread(cfg, 0.5))
     sigma = d_inv @ orc.omega_GH @ d_inv
     se_inf = np.sqrt(sigma[2, 2])
