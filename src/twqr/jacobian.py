@@ -104,13 +104,16 @@ def rule_of_thumb_bandwidth(panel: PanelArray, residuals, tau: float) -> Bandwid
     if sigma == 0.0:
         raise DegenerateScale("MAD of residuals is zero")
     # ||Q||^2 = sum_{i<=j} x_i^2 x_j^2 = (||x||^4 + sum_i x_i^4) / 2 and
-    # mean Q = vech(X'X / n), so Q itself is never formed
-    x2 = panel.x * panel.x
-    row_norm2 = x2.sum(axis=1)
-    q_norm2 = 0.5 * (row_norm2 * row_norm2 + np.einsum("ij,ij->i", x2, x2))
-    q_norm_mean = float(np.mean(q_norm2))
-    q_mean = vech(panel.x.T @ panel.x / n)
-    q_mean_norm = float(q_mean @ q_mean)
+    # mean Q = vech(X'X / n), so Q itself is never formed. A design large
+    # enough to overflow these gives an ell of 0, inf or nan, which
+    # powell_jacobian rejects with NonpositiveBandwidth.
+    with np.errstate(over="ignore", invalid="ignore"):
+        x2 = panel.x * panel.x
+        row_norm2 = x2.sum(axis=1)
+        q_norm2 = 0.5 * (row_norm2 * row_norm2 + np.einsum("ij,ij->i", x2, x2))
+        q_norm_mean = float(np.mean(q_norm2))
+        q_mean = vech(panel.x.T @ panel.x / n)
+        q_mean_norm = float(q_mean @ q_mean)
     if q_mean_norm == 0.0:
         raise DegenerateDesign("mean vech(x x') vanishes")
     a_tau = alpha(tau)

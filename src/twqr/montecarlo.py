@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import enum
 import math
 import multiprocessing
 import numbers
@@ -28,10 +29,14 @@ from scipy.special import ndtr, ndtri
 
 from .crve import CrveKind, omega_variant, sandwich, t_test
 from .errors import (
+    DegenerateDesign,
     DegenerateScale,
     ExcessiveFailureRate,
     InvalidConfig,
     NumericError,
+    RankDeficient,
+    SingularJacobian,
+    ZeroStdError,
 )
 from .jacobian import powell_jacobian, rule_of_thumb_bandwidth
 from .panel import PanelArray
@@ -257,18 +262,49 @@ class RejectionReport:
     failures: dict[str, int]
 
 
+class FailureCode(enum.IntEnum):
+    """Why a replication gave a method no test: one negative outcome code
+    per failure class. ``rejection_experiment`` counts every code as a
+    failure."""
+
+    NOT_CONVERGED = -1
+    RANK_DEFICIENT = -2
+    DEGENERATE = -3  # DegenerateScale or DegenerateDesign
+    SINGULAR_JACOBIAN = -4
+    ZERO_STD_ERROR = -5
+    OTHER_NUMERIC = -6  # any other NumericError
+
+
+_ERROR_CODES = (
+    (RankDeficient, FailureCode.RANK_DEFICIENT),
+    ((DegenerateScale, DegenerateDesign), FailureCode.DEGENERATE),
+    (SingularJacobian, FailureCode.SINGULAR_JACOBIAN),
+    (ZeroStdError, FailureCode.ZERO_STD_ERROR),
+)
+
+
+def _failure_code(err: NumericError) -> FailureCode:
+    for cls, code in _ERROR_CODES:
+        if isinstance(err, cls):
+            return code
+    return FailureCode.OTHER_NUMERIC
+
+
 def _replication_outcome(config: MonteCarloConfig, rep: int) -> np.ndarray:
-    """Outcome row for one replication: 1 reject, 0 accept, -1 failed."""
-    out = np.full(len(config.methods), -1, dtype=np.int8)
+    """Outcome row for one replication: 1 reject, 0 accept, or the
+    negative ``FailureCode`` of what stopped that method."""
+    out = np.empty(len(config.methods), dtype=np.int8)
     try:
         panel = generate_dgp(config, rep)
         fit = fit_qr(panel, config.tau)
         if not fit.solver.converged:
+            out[:] = FailureCode.NOT_CONVERGED
             return out
         bw = rule_of_thumb_bandwidth(panel, fit.residuals, config.tau)
         jac = powell_jacobian(panel, fit.residuals, bw.ell)
         scores = score_matrix(panel, fit.beta_hat, config.tau)
-    except NumericError:
+    except NumericError as err:
+        out[:] = _failure_code(err)
         return out
     target = config.d - 1
     for i, kind in enumerate(config.methods):
@@ -276,7 +312,8 @@ def _replication_outcome(config: MonteCarloConfig, rep: int) -> np.ndarray:
             omega = omega_variant(scores, kind)
             var = sandwich(jac, omega, kind)
             test = t_test(fit, var, target, config.null_value)
-        except NumericError:
+        except NumericError as err:
+            out[i] = _failure_code(err)
             continue
         out[i] = 1 if test.p_value < NOMINAL_LEVEL else 0
     return out

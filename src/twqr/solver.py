@@ -12,6 +12,14 @@ the bounded dual
 Each iteration factorizes one d-by-d normal matrix, so the cost per step is
 O(n d^2). The method is deterministic and, among non-unique minimizers,
 converges to a well-centered point.
+
+An iteration allocates one n-vector, the residual that the best iterate may
+keep. Its other vectors and the weighted design are buffers made once per
+fit and filled through the ufuncs' output argument, in the order and on the
+operands of the plain array expressions named in the comments, so every
+element rounds as it would with one fresh array per operation. The
+fraction-to-boundary steps are branch-free: the primal ratio is
+``max(a / -d_a, s / d_a)`` rather than a select on the sign of ``d_a``.
 """
 
 from __future__ import annotations
@@ -88,29 +96,42 @@ def _require_tau(tau: float) -> None:
         raise InvalidTau(tau)
 
 
-def _primal_step(a: np.ndarray, s: np.ndarray, d_a: np.ndarray) -> float:
+def _primal_step(a: np.ndarray, s: np.ndarray, d_a: np.ndarray,
+                 t1: np.ndarray, t2: np.ndarray) -> float:
     """Fraction-to-boundary step keeping a + alpha*d_a and s - alpha*d_a positive.
 
-    Where d_a < 0 the ratio is a / |d_a|, where d_a > 0 it is s / |d_a|, and
-    a zero direction of either sign gives inf, so one pass covers both bounds.
+    For positive a and s, ``max(a / -d_a, s / d_a)`` is the bounding ratio
+    a / |d_a| where d_a < 0 and s / |d_a| where d_a > 0, since the other
+    quotient is negative; a zero direction of either sign makes exactly one
+    quotient +inf, and a NaN direction makes both NaN. The two quotients
+    are written into the scratch vectors ``t1`` and ``t2``, and this
+    branch-free select rounds as the masked ratio does. Only the sign of a
+    zero ratio can differ (d_a = +inf gives -0.0), so ``+ 0.0`` clears it.
     """
-    with np.errstate(divide="ignore"):
-        ratio = np.where(d_a < 0, a, s) / np.abs(d_a)
-    return min(1.0, _STEP_SHRINK * float(ratio.min()))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # t1 = a / -d_a, t2 = s / d_a
+        np.divide(a, np.negative(d_a, t1), t1)
+        np.divide(s, d_a, t2)
+    ratio = float(np.maximum(t1, t2, out=t1).min()) + 0.0
+    return min(1.0, _STEP_SHRINK * ratio)
 
 
-def _dual_step(z: np.ndarray, d_z: np.ndarray, w: np.ndarray, d_w: np.ndarray) -> float:
+def _dual_step(z: np.ndarray, d_z: np.ndarray, w: np.ndarray, d_w: np.ndarray,
+               t: np.ndarray) -> float:
     """Fraction-to-boundary step keeping z + alpha*d_z and w + alpha*d_w positive.
 
     A nonnegative direction divides by +0.0 and gives inf, so it never binds.
     This needs ``np.maximum(-0.0, 0.0)`` to return the second operand, +0.0;
-    test_solver's step-length property checks it.
+    test_solver's step-length property checks it. ``t`` is scratch.
     """
-    with np.errstate(divide="ignore"):
-        ratio = min((z / np.maximum(-d_z, 0.0)).min(), (w / np.maximum(-d_w, 0.0)).min())
-    return min(1.0, _STEP_SHRINK * float(ratio))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # t = z / np.maximum(-d_z, 0.0), then w / np.maximum(-d_w, 0.0)
+        rz = np.divide(z, np.maximum(np.negative(d_z, t), 0.0, out=t), t).min()
+        rw = np.divide(w, np.maximum(np.negative(d_w, t), 0.0, out=t), t).min()
+    return min(1.0, _STEP_SHRINK * float(min(rz, rw)))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _interior_point(x, y, tau, gap_tol, max_iter):
     """Solve the check-loss LP; returns (beta, residuals, objective,
     iterations, gap, converged), the residuals and objective being beta's.
@@ -118,8 +139,18 @@ def _interior_point(x, y, tau, gap_tol, max_iter):
     ``gap`` is the certified duality gap objective(beta) - dual value, an
     upper bound on the objective suboptimality of the returned beta. A
     non-finite or numerically indefinite normal matrix ends the loop early
-    with ``converged = False``. The rank check reads the singular values
-    that the ``lstsq`` start returns.
+    with ``converged = False``; that is where the overflows and NaNs of a
+    design of extreme magnitude end up, so they raise no RuntimeWarning.
+    The rank check reads the singular values that the ``lstsq`` start
+    returns.
+
+    Every n-vector of an iteration lives in a buffer allocated once per fit
+    and is filled through the ufuncs' output argument, passed positionally
+    (a keyword is parsed anew in each of the hundred-odd calls of an
+    iteration) except to np.maximum, where numpy 2.4 deprecates that. Each
+    chain's comment names the array expression it computes, operation for
+    operation, so every element rounds as that expression does. The iterates a, s, z, w are updated in place. ``u``
+    and ``-lam`` are fresh arrays, since the best iterate keeps them.
     """
     n, d = x.shape
     xt1 = x.sum(axis=0)
@@ -138,67 +169,91 @@ def _interior_point(x, y, tau, gap_tol, max_iter):
     a = np.full(n, 1.0 - tau)
     s = np.full(n, tau)
 
+    neg_y = -y
+    xl, r_d, qinv, rhs_n, d_a, d_z, d_w, rc1, rc2, t1, t2 = (np.empty(n) for _ in range(11))
+    xq = np.empty((n, d))
+
     def certified(xl, a_vec):
         u = y + xl  # y - x @ beta with beta = -lam, bit for bit
-        obj = float(np.sum(u * (tau - (u <= 0.0))))
+        # obj = sum(u * (tau - (u <= 0.0))), the comparison's 0/1 in float
+        np.subtract(tau, np.less_equal(u, 0.0, t1), t1)
+        obj = float(np.sum(np.multiply(u, t1, t1)))
         dual = float(y @ a_vec) - ysum
         return u, obj, obj - dual
+
+    def solve_direction(factor, r_p):
+        """Newton direction for the rc1, rc2 buffers; fills d_a, d_z, d_w."""
+        # rhs_n = r_d - rc1 / a + rc2 / s
+        np.subtract(r_d, np.divide(rc1, a, rhs_n), rhs_n)
+        np.add(rhs_n, np.divide(rc2, s, t1), rhs_n)
+        d_lam, _ = dpotrs(factor, r_p + x.T @ np.multiply(qinv, rhs_n, t1), lower=1)
+        # d_a = qinv * (np.dot(x, d_lam) - rhs_n)
+        np.multiply(qinv, np.subtract(np.dot(x, d_lam, d_a), rhs_n, d_a), d_a)
+        # d_z = (rc1 - z * d_a) / a
+        np.divide(np.subtract(rc1, np.multiply(z, d_a, d_z), d_z), a, d_z)
+        # d_w = (rc2 + w * d_a) / s
+        np.divide(np.add(rc2, np.multiply(w, d_a, d_w), d_w), s, d_w)
+        return d_lam
 
     best_beta, best_u, best_obj = beta0, r0, np.inf
     it = 0
     for it in range(1, max_iter + 1):
         # np.dot, not @: matmul skips BLAS when x has a single column
-        xl = np.dot(x, lam)
+        np.dot(x, lam, xl)
         u, obj, gap = certified(xl, a)
         if obj < best_obj:
             best_obj, best_beta, best_u = obj, -lam, u
         tol = gap_tol * (1.0 + abs(obj))
         r_p = b_eq - x.T @ a
-        r_d = -y - xl - z + w
-        if gap <= tol and np.abs(r_p).max(initial=0.0) <= tol and np.abs(r_d).max(initial=0.0) <= tol:
+        # r_d = -y - xl - z + w
+        np.add(np.subtract(np.subtract(neg_y, xl, r_d), z, r_d), w, r_d)
+        if (gap <= tol and np.abs(r_p).max(initial=0.0) <= tol
+                and np.abs(r_d, t1).max(initial=0.0) <= tol):
             return -lam, u, obj, it - 1, gap, True
 
-        q = z / a + w / s
-        qinv = 1.0 / q
-        m = (x * qinv[:, None]).T @ x
+        # qinv = 1.0 / (z / a + w / s)
+        np.add(np.divide(z, a, qinv), np.divide(w, s, t1), qinv)
+        np.divide(1.0, qinv, qinv)
+        # m = (x * qinv[:, None]).T @ x
+        m = np.multiply(x, qinv[:, None], xq).T @ x
         if not np.isfinite(m).all():
             break
         factor, info = dpotrf(m, lower=1, clean=0)
         if info != 0:
             break
 
-        def solve_direction(rc1, rc2):
-            rhs_n = r_d - rc1 / a + rc2 / s
-            d_lam, _ = dpotrs(factor, r_p + x.T @ (qinv * rhs_n), lower=1)
-            d_a = qinv * (np.dot(x, d_lam) - rhs_n)
-            d_z = (rc1 - z * d_a) / a
-            d_w = (rc2 + w * d_a) / s
-            return d_lam, d_a, d_z, d_w
-
-        # predictor (affine scaling, mu = 0)
-        rc1 = -a * z
-        rc2 = -s * w
-        d_lam, d_a, d_z, d_w = solve_direction(rc1, rc2)
-        ap = _primal_step(a, s, d_a)
-        ad = _dual_step(z, d_z, w, d_w)
+        # predictor (affine scaling, mu = 0): rc1 = -a * z, rc2 = -s * w
+        np.multiply(np.negative(a, rc1), z, rc1)
+        np.multiply(np.negative(s, rc2), w, rc2)
+        solve_direction(factor, r_p)
+        ap = _primal_step(a, s, d_a, t1, t2)
+        ad = _dual_step(z, d_z, w, d_w, t1)
         comp = float(a @ z + s @ w)
-        comp_aff = float(
-            (a + ap * d_a) @ (z + ad * d_z) + (s - ap * d_a) @ (w + ad * d_w)
-        )
+        # comp_aff = (a + ap * d_a) @ (z + ad * d_z) + (s - ap * d_a) @ (w + ad * d_w)
+        aff_az = (np.add(a, np.multiply(ap, d_a, t1), t1)
+                  @ np.add(z, np.multiply(ad, d_z, t2), t2))
+        aff_sw = (np.subtract(s, np.multiply(ap, d_a, t1), t1)
+                  @ np.add(w, np.multiply(ad, d_w, t2), t2))
+        comp_aff = float(aff_az + aff_sw)
         mu = (comp_aff / comp) ** 2 * comp_aff / (2 * n)
 
-        # corrector with second-order terms, same factorization
-        rc1 = mu - a * z - d_a * d_z
-        rc2 = mu - s * w + d_a * d_w
-        d_lam, d_a, d_z, d_w = solve_direction(rc1, rc2)
-        ap = _primal_step(a, s, d_a)
-        ad = _dual_step(z, d_z, w, d_w)
+        # corrector with second-order terms, same factorization:
+        # rc1 = mu - a * z - d_a * d_z, rc2 = mu - s * w + d_a * d_w
+        np.subtract(np.subtract(mu, np.multiply(a, z, rc1), rc1),
+                    np.multiply(d_a, d_z, t1), rc1)
+        np.add(np.subtract(mu, np.multiply(s, w, rc2), rc2),
+               np.multiply(d_a, d_w, t1), rc2)
+        d_lam = solve_direction(factor, r_p)
+        ap = _primal_step(a, s, d_a, t1, t2)
+        ad = _dual_step(z, d_z, w, d_w, t1)
 
-        a = a + ap * d_a
-        s = s - ap * d_a
+        # a += ap * d_a, s -= ap * d_a, z += ad * d_z, w += ad * d_w
+        np.multiply(ap, d_a, t1)
+        np.add(a, t1, a)
+        np.subtract(s, t1, s)
         lam = lam + ad * d_lam
-        z = z + ad * d_z
-        w = w + ad * d_w
+        np.add(z, np.multiply(ad, d_z, t1), z)
+        np.add(w, np.multiply(ad, d_w, t1), w)
 
     u, obj, gap = certified(np.dot(x, lam), a)
     if obj < best_obj:

@@ -142,9 +142,8 @@ def test_fit_collinear_design_is_a_numeric_error(tmp_path, capsys):
     assert "RankDeficient" in capsys.readouterr().err
 
 
-def test_fit_overflowing_design_is_a_numeric_error(tmp_path, capsys):
-    # x'x overflows at this scale; the solver stops unconverged and the
-    # bandwidth step reports it, instead of a traceback and exit 1
+def huge_csv(tmp_path):
+    """A panel whose x'x overflows: columns of magnitude 1e200."""
     lines = ["g,h,y,x1,x2"]
     rng = np.random.default_rng(3)
     for g in range(8):
@@ -153,8 +152,27 @@ def test_fit_overflowing_design_is_a_numeric_error(tmp_path, capsys):
                          f"{rng.standard_normal() * 1e200!r}")
     path = tmp_path / "huge.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    assert main(["fit", str(path)]) == 3
+    return path
+
+
+def test_fit_overflowing_design_is_a_numeric_error(tmp_path, capsys):
+    # x'x overflows at this scale; the solver stops unconverged and the
+    # bandwidth step reports it, instead of a traceback and exit 1
+    assert main(["fit", str(huge_csv(tmp_path))]) == 3
     assert "error: NonpositiveBandwidth" in capsys.readouterr().err
+
+
+def test_fit_overflowing_design_prints_only_the_error_line(tmp_path):
+    # the overflows are handled (the solver stops, the bandwidth is
+    # rejected), so no RuntimeWarning reaches the user's terminal
+    code = "import sys; from twqr.cli import main; sys.exit(main(sys.argv[1:]))"
+    out = subprocess.run([sys.executable, "-c", code, "fit", str(huge_csv(tmp_path))],
+                         env=subprocess_env(PYTHONWARNINGS="default"),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 3
+    assert out.stdout == ""
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: NonpositiveBandwidth"), out.stderr
 
 
 def test_fit_zero_kernel_hits_is_a_numeric_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Tests for the DGP, rejection experiments, variance oracles, and the demo."""
 
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -12,7 +13,17 @@ from scipy.stats import norm as scipy_norm
 
 import twqr.montecarlo as mc
 from twqr.crve import CrveKind
-from twqr.errors import ExcessiveFailureRate, InvalidConfig, RankDeficient
+from twqr.errors import (
+    DegenerateDesign,
+    DegenerateScale,
+    ExcessiveFailureRate,
+    InvalidConfig,
+    NonpositiveBandwidth,
+    RankDeficient,
+    SingularJacobian,
+    TooFewClusters,
+    ZeroStdError,
+)
 from twqr.montecarlo import (
     DgpWeights,
     MonteCarloConfig,
@@ -197,6 +208,75 @@ def test_rejection_thread_count_does_not_change_output():
     assert serial.mc_se == threaded.mc_se
     assert serial.reps_used == threaded.reps_used
     assert serial.failures == threaded.failures
+
+
+def _raise(err):
+    def stage(*args, **kwargs):
+        raise err
+    return stage
+
+
+def _unconverged_fit(panel, tau):
+    fit = fit_qr(panel, tau)
+    return dataclasses.replace(
+        fit, solver=dataclasses.replace(fit.solver, converged=False))
+
+
+@pytest.mark.parametrize("stage, replacement, code", [
+    ("fit_qr", _unconverged_fit, mc.FailureCode.NOT_CONVERGED),
+    ("fit_qr", _raise(RankDeficient("rank")), mc.FailureCode.RANK_DEFICIENT),
+    ("rule_of_thumb_bandwidth", _raise(DegenerateScale("mad")), mc.FailureCode.DEGENERATE),
+    ("rule_of_thumb_bandwidth", _raise(DegenerateDesign("q")), mc.FailureCode.DEGENERATE),
+    ("powell_jacobian", _raise(SingularJacobian("hits")), mc.FailureCode.SINGULAR_JACOBIAN),
+    ("powell_jacobian", _raise(NonpositiveBandwidth("ell")), mc.FailureCode.OTHER_NUMERIC),
+    ("t_test", _raise(ZeroStdError("se")), mc.FailureCode.ZERO_STD_ERROR),
+    ("omega_variant", _raise(TooFewClusters("G")), mc.FailureCode.OTHER_NUMERIC),
+    ("sandwich", _raise(SingularJacobian("d")), mc.FailureCode.SINGULAR_JACOBIAN),
+], ids=["not_converged", "rank_deficient", "degenerate_scale", "degenerate_design",
+        "singular_jacobian", "other_before_tests", "zero_std_error", "other_in_meat",
+        "singular_in_sandwich"])
+def test_replication_outcome_codes_each_failure_class(monkeypatch, stage, replacement, code):
+    cfg = small_config()
+    assert (mc._replication_outcome(cfg, 0) >= 0).all()
+    monkeypatch.setattr(mc, stage, replacement)
+    row = mc._replication_outcome(cfg, 0)
+    assert row.dtype == np.int8
+    assert row.tolist() == [code] * len(cfg.methods)
+
+
+def test_failure_in_one_method_codes_only_its_column(monkeypatch):
+    cfg = small_config()
+    real = mc.t_test
+    target = cfg.methods[1]
+
+    def t_test(fit, var, j, null):
+        if var.kind is target:
+            raise ZeroStdError("se")
+        return real(fit, var, j, null)
+
+    monkeypatch.setattr(mc, "t_test", t_test)
+    row = mc._replication_outcome(cfg, 0)
+    assert row[1] == mc.FailureCode.ZERO_STD_ERROR
+    assert (np.delete(row, 1) >= 0).all()
+
+
+def test_every_failure_code_counts_as_a_failure(monkeypatch):
+    # one replication per code, within the 1% tolerance of 600 replications
+    codes = [int(c) for c in mc.FailureCode]
+    assert sorted(codes) == list(range(-len(codes), 0))
+    cfg = small_config(reps=600)
+
+    def outcome(config, rep):
+        value = codes[rep] if rep < len(codes) else rep % 2
+        return np.full(len(config.methods), value, dtype=np.int8)
+
+    monkeypatch.setattr(mc, "_replication_outcome", outcome)
+    report = rejection_experiment(cfg)
+    n_ok = 600 - len(codes)
+    for kind in cfg.methods:
+        assert report.failures[kind.value] == len(codes)
+        assert report.reps_used[kind.value] == n_ok
+        assert report.frequencies[kind.value] == (n_ok // 2) / n_ok
 
 
 # --- worker pool ---

@@ -1,5 +1,7 @@
 """Tests for the check-loss objective, the interior-point fit, and scores."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,11 +9,27 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.optimize import linprog
 
-from helpers import grid_panel, random_panel
+from helpers import (
+    grid_panel,
+    random_panel,
+    reference_dual_step,
+    reference_interior_point,
+    reference_primal_step,
+)
 
 from twqr.errors import DimensionMismatch, InvalidTau, RankDeficient
+from twqr.montecarlo import DgpWeights, MonteCarloConfig, generate_dgp
 from twqr.panel import PanelArray
-from twqr.solver import _dual_step, _primal_step, check_loss, fit_qr, score_matrix
+from twqr.solver import (
+    DEFAULT_GAP_TOL,
+    DEFAULT_MAX_ITER,
+    _dual_step,
+    _interior_point,
+    _primal_step,
+    check_loss,
+    fit_qr,
+    score_matrix,
+)
 
 
 def lp_objective(panel, tau):
@@ -206,13 +224,21 @@ def test_zero_iterations_returns_certified_start():
     assert fit.solver.duality_gap == fit.objective - dual
 
 
-@pytest.mark.parametrize("x_scale", [1e-150, 1.0, 1e100, 1e150, 1e200])
-@pytest.mark.parametrize("y_scale", [1e-150, 1.0, 1e150, 1e300])
-def test_extreme_magnitudes_return_or_raise_rank_deficient(x_scale, y_scale):
-    # an overflowing normal matrix must end the solve, not escape as ValueError
+X_SCALES = [1e-150, 1.0, 1e100, 1e150, 1e200]
+Y_SCALES = [1e-150, 1.0, 1e150, 1e300]
+
+
+def extreme_panel(x_scale, y_scale):
     rng = np.random.default_rng(71)
     panel = random_panel(rng, 8, 8, 3)
-    scaled = grid_panel(8, 8, panel.x * x_scale, panel.y * y_scale)
+    return grid_panel(8, 8, panel.x * x_scale, panel.y * y_scale)
+
+
+@pytest.mark.parametrize("x_scale", X_SCALES)
+@pytest.mark.parametrize("y_scale", Y_SCALES)
+def test_extreme_magnitudes_return_or_raise_rank_deficient(x_scale, y_scale):
+    # an overflowing normal matrix must end the solve, not escape as ValueError
+    scaled = extreme_panel(x_scale, y_scale)
     try:
         fit = fit_qr(scaled, 0.5)
     except RankDeficient:
@@ -229,35 +255,138 @@ def masked_step(v, dv):
     return min(1.0, 0.9995 * float(np.min(-v[neg] / dv[neg])))
 
 
+_MIN_NORMAL = 2.2250738585072014e-308  # below it, doubles are subnormal
 _directions = st.one_of(st.just(0.0), st.just(-0.0),
                         st.floats(1e-6, 1e6), st.floats(-1e6, -1e-6))
+_nonfinite_or_subnormal = st.one_of(
+    st.sampled_from([np.inf, -np.inf, np.nan]),
+    st.floats(5e-324, _MIN_NORMAL, exclude_max=True),
+    st.floats(-_MIN_NORMAL, -5e-324, exclude_min=True))
 _positives = st.floats(1e-6, 1e6)
 
 
 @st.composite
 def _step_cases(draw):
     """Positive iterates and directions of one common length; some directions
-    are drawn nonnegative only, so the step is 1.0."""
+    are drawn nonnegative only, so the step is 1.0, and some include
+    infinities, NaN and subnormals."""
     n = draw(st.integers(1, 12))
-    direction = draw(st.sampled_from([_directions, st.one_of(st.just(0.0), st.just(-0.0),
-                                                             st.floats(1e-6, 1e6))]))
+    direction = draw(st.sampled_from([
+        _directions,
+        st.one_of(st.just(0.0), st.just(-0.0), st.floats(1e-6, 1e6)),
+        st.one_of(_directions, _nonfinite_or_subnormal),
+    ]))
     vecs = [np.array(draw(st.lists(_positives, min_size=n, max_size=n))) for _ in range(2)]
     dirs = [np.array(draw(st.lists(direction, min_size=n, max_size=n))) for _ in range(2)]
     return vecs[0], vecs[1], dirs[0], dirs[1]
 
 
-@settings(max_examples=300, deadline=None)
+def _bits(v):
+    return np.float64(v).tobytes()
+
+
+@settings(max_examples=500, deadline=None)
 @given(case=_step_cases())
 @example(case=(np.array([1.0]), np.array([2.0]), np.array([-0.0]), np.array([0.0])))
 @example(case=(np.array([1.0, 3.0]), np.array([2.0, 5.0]),
                np.array([0.5, -0.0]), np.array([0.0, 2.0])))
+# d = +inf: a / -d is -0.0, s / d is +0.0, and the step must be +0.0
+@example(case=(np.array([1.0]), np.array([2.0]), np.array([np.inf]), np.array([-np.inf])))
+@example(case=(np.array([1.0, 3.0]), np.array([2.0, 5.0]),
+               np.array([-np.inf, np.inf]), np.array([np.nan, -1.0])))
+@example(case=(np.array([1.0, 3.0]), np.array([2.0, 5.0]),
+               np.array([5e-324, -5e-324]), np.array([-1e-310, 0.5])))
 def test_step_lengths_match_masked_formula(case):
     v1, v2, d1, d2 = case
-    primal = _primal_step(v1, v2, d1)
-    assert primal == masked_step(np.concatenate([v1, v2]), np.concatenate([d1, -d1]))
-    dual = _dual_step(v1, d1, v2, d2)
-    assert dual == masked_step(np.concatenate([v1, v2]), np.concatenate([d1, d2]))
-    assert 0.0 < primal <= 1.0 and 0.0 < dual <= 1.0
+    t1, t2 = np.empty_like(v1), np.empty_like(v1)
+    primal = _primal_step(v1, v2, d1, t1, t2)
+    dual = _dual_step(v1, d1, v2, d2, t1)
+    with np.errstate(all="ignore"):
+        assert _bits(primal) == _bits(reference_primal_step(v1, v2, d1))
+        assert _bits(dual) == _bits(reference_dual_step(v1, d1, v2, d2))
+        if not (np.isnan(d1).any() or np.isnan(d2).any()):
+            # a NaN direction makes the formulas' step 1.0; the mask skips it
+            assert primal == masked_step(np.concatenate([v1, v2]), np.concatenate([d1, -d1]))
+            assert dual == masked_step(np.concatenate([v1, v2]), np.concatenate([d1, d2]))
+    if np.isfinite(d1).all() and np.isfinite(d2).all():
+        assert 0.0 < primal <= 1.0 and 0.0 < dual <= 1.0
+
+
+# --- the buffered interior-point loop against the one-array-per-operation
+# reference in helpers.py ---
+
+def _demo_panel(G, seed):
+    """The non-Gaussian demo's d = 1 design: x = U_g V_h, sign-product errors."""
+    rng = np.random.default_rng(seed)
+    x = np.outer(rng.standard_normal(G), rng.standard_normal(G) + 1.0)
+    signs = np.outer(rng.choice([-1.0, 1.0], G), rng.choice([-1.0, 1.0], G))
+    e = signs * np.abs(rng.uniform(-1.0, 1.0, (G, G)))
+    return grid_panel(G, G, x.reshape(-1, 1), (x + e).reshape(-1))
+
+
+def _missing_panel(seed):
+    """A random panel with about 20% of its cells dropped."""
+    rng = np.random.default_rng(seed)
+    full = random_panel(rng, 15, 13, 3)
+    keep = rng.random(full.n) >= 0.2
+    return PanelArray(G=15, H=13, g_idx=full.g_idx[keep], h_idx=full.h_idx[keep],
+                      y=full.y[keep], x=full.x[keep])
+
+
+def _acceptance_panel(G):
+    cfg = MonteCarloConfig(G=G, H=G, d=10, tau=0.5, reps=1, seed=101,
+                           weights=DgpWeights(1.0, 1.0, 1.0, 1.0, 1.0, 1.0))
+    return generate_dgp(cfg, 0)
+
+
+def assert_matches_reference(x, y, tau, max_iter=DEFAULT_MAX_ITER):
+    """All six fields of the loop equal the reference's, bit for bit; a
+    RankDeficient start raises in both."""
+    with np.errstate(all="ignore"):  # the reference's handled overflows
+        try:
+            want = reference_interior_point(x, y, tau, DEFAULT_GAP_TOL, max_iter)
+        except RankDeficient:
+            want = None
+    if want is None:
+        with pytest.raises(RankDeficient):
+            _interior_point(x, y, tau, DEFAULT_GAP_TOL, max_iter)
+        return
+    got = _interior_point(x, y, tau, DEFAULT_GAP_TOL, max_iter)
+    assert len(got) == len(want) == 6
+    for field, g, w in zip(("beta", "residuals", "objective", "iterations", "gap",
+                            "converged"), got, want):
+        assert type(g) is type(w), field
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes(), field
+
+
+@pytest.mark.parametrize("make_panel", [
+    lambda: _acceptance_panel(12), lambda: _acceptance_panel(50),
+    lambda: _demo_panel(20, 3), lambda: _demo_panel(100, 4),
+    lambda: _missing_panel(5), lambda: _missing_panel(6),
+], ids=["acceptance_12", "acceptance_50", "demo_20", "demo_100",
+        "missing_a", "missing_b"])
+@pytest.mark.parametrize("tau", [0.05, 0.1, 0.5, 0.9, 0.95])
+def test_interior_point_matches_reference_bit_for_bit(make_panel, tau):
+    panel = make_panel()
+    for max_iter in (0, 1, 2, DEFAULT_MAX_ITER):
+        assert_matches_reference(panel.x, panel.y, tau, max_iter)
+
+
+@pytest.mark.parametrize("x_scale", X_SCALES)
+@pytest.mark.parametrize("y_scale", Y_SCALES)
+def test_interior_point_matches_reference_at_extreme_magnitudes(x_scale, y_scale):
+    # covers the early exits: an overflowing or indefinite normal matrix
+    panel = extreme_panel(x_scale, y_scale)
+    for tau in (0.1, 0.5, 0.9):
+        assert_matches_reference(panel.x, panel.y, tau)
+
+
+def test_fit_on_overflowing_design_raises_no_warning():
+    panel = extreme_panel(1e200, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_qr(panel, 0.5)
+    assert not fit.solver.converged
 
 
 def test_fit_rejects_bad_inputs():
