@@ -142,7 +142,7 @@ def _cluster_sums(psi: np.ndarray, idx: np.ndarray, count: int) -> np.ndarray:
     """Per-cluster score sums, shape (count, d), one bincount per column.
 
     Per column, not over one flat ``idx * d + k`` index: bincount copies
-    read-only weights whole, and ``score_matrix`` returns read-only scores.
+    read-only weights whole, and the scores arrive read-only.
     """
     return np.column_stack([np.bincount(idx, weights=col, minlength=count) for col in psi.T])
 
@@ -165,6 +165,8 @@ def _memoised(obj, name: str, build):
 def _build_meat_blocks(scores: ScoreMatrix) -> tuple[dict[str, np.ndarray], int, int]:
     norm2 = float(scores.n) ** 2
     psi = scores.scores
+    # the blocks are kept on the ScoreMatrix, so its scores must not change
+    psi.flags.writeable = False
     sg = _cluster_sums(psi, scores.g_idx, scores.G)
     sh = _cluster_sums(psi, scores.h_idx, scores.H)
     diag = psi.T @ psi / norm2
@@ -194,9 +196,8 @@ def omega_variant(scores: ScoreMatrix, kind: CrveKind) -> OmegaComponents:
     assembly is O(n d^2).
 
     The blocks are built on the first call for a ``ScoreMatrix`` and kept
-    on it, read-only, so later kinds only add them up; the score arrays
-    must not be changed in place afterwards (``score_matrix`` returns them
-    read-only).
+    on it, read-only, so later kinds only add them up; that first call
+    also makes the score array read-only.
     """
     kind = CrveKind(kind)
     for margins, message in _NEEDS_TWO[kind].items():
@@ -226,6 +227,8 @@ def omega_ctw(scores: ScoreMatrix) -> OmegaComponents:
 def _jacobian_factor(d_hat: JacobianEstimate) -> np.ndarray:
     """Lower Cholesky factor of D, after the eigenvalue-ratio check."""
     d_mat = d_hat.d_hat
+    # the factor is kept on the JacobianEstimate, so D must not change
+    d_mat.flags.writeable = False
     vals = np.linalg.eigvalsh(d_mat)
     if vals[0] <= 1e-10 * max(vals[-1], 0.0):
         raise SingularJacobian(
@@ -239,9 +242,8 @@ def sandwich(d_hat: JacobianEstimate, omega: OmegaComponents,
     """Sandwich ``D^{-1} Omega D^{-1}`` via one reused Cholesky factorization.
 
     The eigenvalue-ratio check and the factor of D are computed on the first
-    call for a ``JacobianEstimate`` and kept on it for the other kinds, so D
-    must not be changed in place afterwards (``powell_jacobian`` returns it
-    read-only).
+    call for a ``JacobianEstimate`` and kept on it for the other kinds; that
+    first call also makes D read-only.
     """
     d_mat = d_hat.d_hat
     factor = _memoised(d_hat, "_factor", _jacobian_factor)

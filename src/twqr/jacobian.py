@@ -138,11 +138,8 @@ def powell_jacobian(panel: PanelArray, residuals, ell: float) -> JacobianEstimat
     hits = np.abs(residuals) <= ell
     xk = panel.x[hits]
     d_hat = 0.5 * (xk.T @ xk) / (panel.n * ell)
-    d_hat = 0.5 * (d_hat + d_hat.T)
-    # crve keeps the Cholesky factor of this matrix on the JacobianEstimate
-    d_hat.flags.writeable = False
     return JacobianEstimate(
-        d_hat=d_hat, bandwidth=float(ell), kernel_hits=int(hits.sum())
+        d_hat=0.5 * (d_hat + d_hat.T), bandwidth=float(ell), kernel_hits=int(hits.sum())
     )
 
 

@@ -82,24 +82,32 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _coerce_numbers(obj) -> None:
-    """Make each ``int`` and ``float`` field of a frozen dataclass one.
+def _number(name: str, v, integer: bool) -> int | float:
+    """``v`` as an int or a float, named ``name`` in the error.
 
-    Bools and strings are not numbers; an ``int`` takes 1000.0 but not 4.7.
+    Bools and strings are not numbers; an integer takes 1000.0 but not 4.7.
     """
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise InvalidConfig(f"{name} must be a number, got {v!r}")
+    if not integer:
+        return float(v)
+    if isinstance(v, numbers.Integral) or float(v).is_integer():
+        return int(v)
+    raise InvalidConfig(f"{name} must be an integer, got {v!r}")
+
+
+def _coerce_numbers(obj) -> None:
+    """Make each ``int`` and ``float`` field of a frozen dataclass one."""
     for f in fields(obj):
-        if f.type not in ("int", "float"):  # string annotations: see the __future__ import
-            continue
-        v = getattr(obj, f.name)
-        if isinstance(v, bool) or not isinstance(v, numbers.Real):
-            raise InvalidConfig(f"{f.name} must be a number, got {v!r}")
-        if f.type == "float":
-            v = float(v)
-        elif isinstance(v, numbers.Integral) or float(v).is_integer():
-            v = int(v)
-        else:
-            raise InvalidConfig(f"{f.name} must be an integer, got {v!r}")
-        object.__setattr__(obj, f.name, v)
+        if f.type in ("int", "float"):  # string annotations: see the __future__ import
+            v = _number(f.name, getattr(obj, f.name), f.type == "int")
+            object.__setattr__(obj, f.name, v)
+
+
+def _check_failures(n_fail: int, reps: int, suffix: str = "") -> None:
+    """Abort a run in which more than FAILURE_TOLERANCE of the reps failed."""
+    if n_fail > FAILURE_TOLERANCE * reps:
+        raise ExcessiveFailureRate(f"{n_fail} of {reps} replications failed{suffix}")
 
 
 def _check_keys(what: str, obj: dict, cls) -> None:
@@ -429,10 +437,7 @@ def rejection_experiment(config: MonteCarloConfig, n_jobs: int = 1) -> Rejection
     for i, kind in enumerate(config.methods):
         col = outcomes[:, i]
         n_fail = int(np.sum(col < 0))
-        if n_fail > FAILURE_TOLERANCE * reps:
-            raise ExcessiveFailureRate(
-                f"{n_fail} of {reps} replications failed for {kind.value}"
-            )
+        _check_failures(n_fail, reps, f" for {kind.value}")
         n_ok = reps - n_fail
         p = float(np.sum(col == 1)) / n_ok
         freqs[kind.value] = p
@@ -566,10 +571,7 @@ def direct_score_variance(config: MonteCarloConfig, tau: float,
         + w.wVe * gen.standard_normal(n_draws)
         + w.wWe * gen.standard_normal(n_draws)
     )
-    weight = tau - (err <= q)
-    psi = np.empty((n_draws, k + 1))
-    psi[:, 0] = weight
-    psi[:, 1:] = slopes * weight[:, None]
+    psi = _psi_mean(tau, q, slopes, err, 0.0)
     return np.atleast_2d(np.cov(psi, rowvar=False))
 
 
@@ -664,6 +666,9 @@ def nongaussian_demo(G: int, H: int, c: float, reps: int,
     ranges against a large raw product-normal draw and reported alongside
     the samples.
     """
+    G, H, reps, seed = (_number(k, v, True) for k, v in
+                        (("G", G), ("H", H), ("reps", reps), ("seed", seed)))
+    c = _number("c", c, False)
     if reps < 500:
         raise InvalidConfig(f"reps must be >= 500, got {reps}")
     if not (math.isfinite(c) and c >= 0.0):
@@ -700,8 +705,7 @@ def nongaussian_demo(G: int, H: int, c: float, reps: int,
             vals[rep] = scale * (float(fit.beta_hat[0]) - 1.0)
             ok[rep] = True
     failures = int(reps - ok.sum())
-    if failures > FAILURE_TOLERANCE * reps:
-        raise ExcessiveFailureRate(f"{failures} of {reps} replications failed")
+    _check_failures(failures, reps)
     empirical = vals[ok]
     gen_ref = _stream(seed, 0, _ORACLE_BASE, 0)
     raw = (gen_ref.standard_normal(_REF_CALIBRATION_SIZE)

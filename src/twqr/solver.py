@@ -274,8 +274,8 @@ def fit_qr(panel: PanelArray, tau: float, gap_tol: float = DEFAULT_GAP_TOL,
     tau : float
         Quantile level in (0, 1).
     gap_tol : float
-        Relative duality-gap tolerance; convergence requires
-        ``gap <= gap_tol * (1 + |objective|)``.
+        Convergence requires ``gap <= gap_tol * (1 + |objective|)``, a
+        test that is absolute, not relative, when ``|objective| << 1``.
     max_iter : int
         Iteration cap. On hitting it the best iterate is returned with
         ``solver.converged = False``; no exception is raised.
@@ -314,11 +314,8 @@ def score_matrix(panel: PanelArray, beta, tau: float) -> ScoreMatrix:
         )
     resid = panel.y - panel.x @ beta
     weight = tau - (resid <= 0.0)
-    scores = panel.x * weight[:, None]
-    # crve keeps the meat blocks built from these scores on the ScoreMatrix
-    scores.flags.writeable = False
     return ScoreMatrix(
-        scores=scores,
+        scores=panel.x * weight[:, None],
         g_idx=panel.g_idx,
         h_idx=panel.h_idx,
         G=panel.G,

@@ -87,6 +87,13 @@ def test_fit_json_output(tmp_path, capsys):
     bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
     assert main(["fit", str(bom), "--crve", "ctw", "--crve", "ci", "--null", "1"]) == 0
     assert capsys.readouterr().out == out
+    # one null value per coefficient reaches null_values and the t statistics
+    assert main(["fit", str(path), "--crve", "cg", "--null", "0.5,-1,2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["null_values"] == [0.5, -1.0, 2.0]
+    block = doc["methods"]["cg"]
+    for j, b0 in enumerate(doc["null_values"]):
+        assert block["t_stats"][j] == (doc["beta_hat"][j] - b0) / block["std_errors"][j]
 
 
 def test_fit_csv_output(tmp_path, capsys):
@@ -190,6 +197,7 @@ def test_fit_usage_errors(tmp_path, capsys):
     assert main(["fit", str(path), "--null", "1,2"]) == 2  # needs 1 or d values
     # JSON has no token for a non-finite null value or bandwidth
     for flags in (["--null", "nan"], ["--null", "inf"], ["--null", "0,-inf,0"],
+                  ["--null", "one"], ["--null", "0,,1"],
                   ["--bandwidth", "inf"], ["--bandwidth", "nan"]):
         capsys.readouterr()
         assert main(["fit", str(path), *flags]) == 2
@@ -267,8 +275,11 @@ def test_simulate_thread_env_fallback(tmp_path, capsys, monkeypatch):
     assert main(["simulate", str(cfg), "--out", str(out_one)]) == 0
     capsys.readouterr()
     assert (out_env / "report.csv").read_bytes() == (out_one / "report.csv").read_bytes()
-    monkeypatch.setenv("TWQR_THREADS", "zero")
-    assert main(["simulate", str(cfg), "--out", str(tmp_path / "bad")]) == 2
+    for env, flags in (("zero", []), ("0", []), ("3", ["--threads", "0"])):
+        monkeypatch.setenv("TWQR_THREADS", env)
+        capsys.readouterr()
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "bad"), *flags]) == 2
+        assert "InvalidConfig" in capsys.readouterr().err
 
 
 def test_simulate_input_errors(tmp_path, capsys):

@@ -361,18 +361,24 @@ def test_sandwich_shared_jacobian_matches_fresh():
 
 def test_memoised_inputs_are_read_only():
     # the meat blocks and the factor of D are kept per ScoreMatrix and
-    # JacobianEstimate, so the arrays they are built from cannot be written
-    panel = random_panel(np.random.default_rng(171), 6, 5, 3)
+    # JacobianEstimate, so the first omega_variant/sandwich call makes the
+    # arrays they are built from read-only, however the inputs were built
+    rng = np.random.default_rng(171)
+    panel = random_panel(rng, 6, 5, 3)
     fit = fit_qr(panel, 0.5)
-    scores = score_matrix(panel, fit.beta_hat, 0.5)
-    jac = powell_jacobian(panel, fit.residuals, 1.0)
-    before = sandwich(jac, omega_ctw(scores)).sigma_hat.tobytes()
-    for arr in (scores.scores, jac.d_hat):
-        with pytest.raises(ValueError, match="read-only"):
-            arr[0, 0] = 1e6
-        with pytest.raises(ValueError, match="read-only"):
-            arr *= 2.0
-    assert sandwich(jac, omega_ctw(scores)).sigma_hat.tobytes() == before
+    from_pipeline = (score_matrix(panel, fit.beta_hat, 0.5),
+                     powell_jacobian(panel, fit.residuals, 1.0))
+    by_hand = (random_scores(rng, 6, 5, 3), make_jacobian(np.eye(3) + 0.25))
+    for scores, jac in (from_pipeline, by_hand):
+        assert scores.scores.flags.writeable and jac.d_hat.flags.writeable
+        for kind in (CrveKind.CG, CrveKind.CTW):
+            before = sandwich(jac, omega_variant(scores, kind)).sigma_hat.tobytes()
+            for arr in (scores.scores, jac.d_hat):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0, 0] = 1e6
+                with pytest.raises(ValueError, match="read-only"):
+                    arr *= 2.0
+            assert sandwich(jac, omega_variant(scores, kind)).sigma_hat.tobytes() == before
 
 
 def test_sandwich_rejects_singular_bread():

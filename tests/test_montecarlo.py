@@ -656,6 +656,58 @@ def test_demo_validation():
             nongaussian_demo(G=40, H=40, c=c, reps=600, seed=0)
     with pytest.raises(InvalidConfig):
         nongaussian_demo(G=40, H=40, c=0.0, reps=600, seed=-1)
+    # the design-number rule of MonteCarloConfig: bools and strings are not
+    # numbers, and an integer takes 10.0 but not 10.5
+    args = dict(G=10, H=10, c=0.0, reps=500, seed=4)
+    for name, value, message in (
+        ("G", 10.5, "G must be an integer, got 10.5"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("G", True, "G must be a number, got True"),
+        ("H", "10", "H must be a number, got '10'"),
+        ("reps", True, "reps must be a number, got True"),
+        ("c", "1", "c must be a number, got '1'"),
+        ("c", False, "c must be a number, got False"),
+    ):
+        with pytest.raises(InvalidConfig, match=f"^{message}$"):
+            nongaussian_demo(**{**args, name: value})
+    demo = nongaussian_demo(**args)
+    as_floats = nongaussian_demo(**{**args, "G": 10.0, "reps": 500.0, "seed": 4.0, "c": 0})
+    assert demo.empirical.tobytes() == as_floats.empirical.tobytes()
+    assert demo.reference.tobytes() == as_floats.reference.tobytes()
+    assert demo.summary == as_floats.summary
+
+
+def test_demo_failed_replications(monkeypatch):
+    # replications whose fit raises a NumericError or does not converge are
+    # counted as failures and left out of the sample
+    args = dict(G=10, H=10, c=0.0, reps=500, seed=4)
+    clean = nongaussian_demo(**args)
+    assert clean.summary.failures == 0
+    real = mc.fit_qr
+
+    def failing_on(rank_deficient, unconverged):
+        calls = iter(range(args["reps"]))
+
+        def fit_qr(panel, tau):
+            rep = next(calls)
+            if rep in rank_deficient:
+                raise RankDeficient("synthetic")
+            fit = real(panel, tau)
+            if rep in unconverged:
+                solver = dataclasses.replace(fit.solver, converged=False)
+                fit = dataclasses.replace(fit, solver=solver)
+            return fit
+        return fit_qr
+
+    # 5 failures are 1% of 500, the most the demo tolerates
+    monkeypatch.setattr(mc, "fit_qr", failing_on({3, 250}, {0, 7, 499}))
+    demo = nongaussian_demo(**args)
+    assert demo.summary.failures == 5
+    expect = np.delete(clean.empirical, [0, 3, 7, 250, 499])
+    assert demo.empirical.tobytes() == expect.tobytes()
+    monkeypatch.setattr(mc, "fit_qr", failing_on({3, 250, 251}, {0, 7, 499}))
+    with pytest.raises(ExcessiveFailureRate, match="^6 of 500 replications failed$"):
+        nongaussian_demo(**args)
 
 
 def test_demo_shape_statistics():
