@@ -13,6 +13,11 @@ Each iteration factorizes one d-by-d normal matrix, so the cost per step is
 O(n d^2). The method is deterministic and, among non-unique minimizers,
 converges to a well-centered point.
 
+With one regressor (d = 1) the minimizer is a weighted tau-quantile of the
+ratios y_i / x_i: ``fit_qr`` finds it exactly with one sort, reports one
+iteration, returns the midpoint of a flat optimum, and certifies it with the
+same duality gap. ``max_iter = 0`` returns the ``lstsq`` start at any d.
+
 An iteration allocates one n-vector, the residual that the best iterate may
 keep. Its other vectors and the weighted design are buffers made once per
 fit and filled through the ufuncs' output argument, in the order and on the
@@ -263,6 +268,50 @@ def _interior_point(x, y, tau, gap_tol, max_iter):
     return best_beta, best_u, best_obj, it, gap, False
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _one_regressor_fit(x, y, tau, gap_tol):
+    """Solve the one-column check-loss LP exactly; returns the six fields
+    of ``_interior_point``, with one iteration.
+
+    A cell puts a kink of size |x_i| at r_i = y_i / x_i, and left of all
+    kinks the slope is -(tau |x_i| summed over x_i > 0 and (1 - tau) |x_i|
+    over x_i < 0), so the first sorted ratio where the running sum of |x|
+    reaches that weight is a minimizer. The dual vector is 1{x < 0} below
+    it, 1{x > 0} above it and 1{y > 0} where x = 0; the breakpoint's entry,
+    clipped to [0, 1], closes x'a = (1 - tau) x'1. A breakpoint that
+    overflows leaves a non-finite gap, reported unconverged.
+    """
+    x = x[:, 0]
+    if not x.any():
+        raise RankDeficient("stacked design has numeric rank < d = 1")
+    # y / 0 is +-inf or nan, so a zero-x cell sorts to an end, where its zero
+    # weight leaves it off the breakpoint; its dual entry is added apart
+    ratio = y / x
+    order = np.argsort(ratio)
+    ratio, xs = ratio[order], x[order]
+    abs_x = np.abs(xs)
+    cum = np.cumsum(abs_x)
+    neg = xs < 0.0
+    s_neg = float(abs_x @ neg)
+    target = tau * (cum[-1] - s_neg) + (1.0 - tau) * s_neg
+    # the slope just right of sorted ratio k is cum[k] - target
+    k = min(int(np.searchsorted(cum, target)), cum.size - 1)
+    beta = ratio[k]
+    if cum[k] == target and k + 1 < cum.size:  # flat up to the next ratio
+        beta = 0.5 * ratio[k] + 0.5 * ratio[k + 1]
+    a = neg.astype(np.float64)
+    a[k + 1:] = xs[k + 1:] > 0.0
+    a[k] = 0.0
+    a[k] = min(max(((1.0 - tau) * float(x.sum()) - float(xs @ a)) / xs[k], 0.0), 1.0)
+    dual = (float(y[order] @ a) + float(np.maximum(y[x == 0.0], 0.0).sum())
+            - (1.0 - tau) * float(y.sum()))
+    u = y - x * beta
+    obj = float(np.sum(u * (tau - (u <= 0.0))))
+    gap = obj - dual
+    converged = bool(np.isfinite(gap) and gap <= gap_tol * (1.0 + abs(obj)))
+    return np.array([beta]), u, obj, 1, gap, converged
+
+
 def fit_qr(panel: PanelArray, tau: float, gap_tol: float = DEFAULT_GAP_TOL,
            max_iter: int = DEFAULT_MAX_ITER) -> QuantileFit:
     """Fit linear quantile regression on a panel at level ``tau``.
@@ -278,16 +327,26 @@ def fit_qr(panel: PanelArray, tau: float, gap_tol: float = DEFAULT_GAP_TOL,
         test that is absolute, not relative, when ``|objective| << 1``.
     max_iter : int
         Iteration cap. On hitting it the best iterate is returned with
-        ``solver.converged = False``; no exception is raised.
+        ``solver.converged = False``; no exception is raised. With
+        ``max_iter = 0`` the ``lstsq`` start is returned, with 0 iterations
+        and ``converged = False``.
+
+    A one-column design (d = 1) with ``max_iter >= 1`` is solved exactly by
+    sorting the ratios y / x: ``solver.iterations`` is 1, a flat optimum
+    gives the midpoint of its interval, and ``duality_gap`` and
+    ``converged`` come from the same dual certificate and test as the
+    interior-point method's.
 
     Raises
     ------
     InvalidTau, RankDeficient
     """
     _require_tau(tau)
-    beta, residuals, objective, iters, gap, converged = _interior_point(
-        panel.x, panel.y, tau, gap_tol, max_iter
-    )
+    if panel.d == 1 and max_iter >= 1:
+        result = _one_regressor_fit(panel.x, panel.y, tau, gap_tol)
+    else:
+        result = _interior_point(panel.x, panel.y, tau, gap_tol, max_iter)
+    beta, residuals, objective, iters, gap, converged = result
     # a copy made once the loop's temporaries are freed: the loop's own array
     # kept them resident, raising a 250k-row fit's peak RSS from 153 to 168 MB
     residuals = residuals.copy()

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 from jsonschema import Draft202012Validator
 
+from helpers import grid_panel, reference_interior_point
+
 import twqr
 from twqr.cli import main
 from twqr.crve import t_test
@@ -24,7 +26,8 @@ from twqr.montecarlo import (
     generate_dgp,
     true_beta,
 )
-from twqr.panel import write_csv
+from twqr.panel import load_csv, write_csv
+from twqr.solver import DEFAULT_GAP_TOL, DEFAULT_MAX_ITER
 
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -133,6 +136,25 @@ def test_fit_custom_columns(tmp_path, capsys):
     assert doc["diagnostics"]["G"] == 3
     assert doc["diagnostics"]["H"] == 2
     assert len(doc["beta_hat"]) == 2
+
+
+def test_fit_one_regressor_is_solved_exactly(tmp_path, capsys):
+    # the non-Gaussian demo's design: one regressor x = U_g V_h of mixed sign
+    rng = np.random.default_rng(19)
+    x = np.outer(rng.standard_normal(15), rng.standard_normal(12) + 1.0).reshape(-1, 1)
+    path = tmp_path / "one.csv"
+    write_csv(grid_panel(15, 12, x, x[:, 0] + rng.uniform(-1.0, 1.0, 180)), path)
+    assert main(["fit", str(path), "--x-cols", "x1", "--crve", "cg"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    validate_against("fit_response.schema.json", doc)
+    diag = doc["diagnostics"]
+    assert diag["d"] == 1 and len(doc["beta_hat"]) == 1
+    assert diag["solver_iterations"] == 1
+    assert diag["converged"] is True
+    panel = load_csv(path, {"g": "g", "h": "h", "y": "y", "x": ["x1"]})
+    _, _, ref_obj, *_ = reference_interior_point(
+        panel.x, panel.y, 0.5, DEFAULT_GAP_TOL, DEFAULT_MAX_ITER)
+    assert diag["objective"] <= ref_obj
 
 
 def test_fit_collinear_design_is_a_numeric_error(tmp_path, capsys):
