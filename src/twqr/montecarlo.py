@@ -10,7 +10,9 @@ product of normals.
 Every replication is a pure function of (seed, replication index) through
 counter-based RNG streams, so results do not depend on worker counts:
 stream ids partition row, column, and cell latents, error latents, and
-regressor dimensions.
+regressor dimensions. Both the size experiment and the demo run their
+replications through one map, ``_replicate``: a fork pool of contiguous
+chunks, or a serial loop, with every OpenBLAS at one thread.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import enum
+import functools
 import math
 import multiprocessing
 import numbers
@@ -151,9 +154,6 @@ class DgpWeights:
         """Variance of each slope regressor."""
         return self.wUx**2 + self.wVx**2 + self.wWx**2
 
-    def as_dict(self) -> dict[str, float]:
-        return asdict(self)
-
 
 _ALL_KINDS = tuple(CrveKind)
 
@@ -212,6 +212,16 @@ class MonteCarloConfig:
         object.__setattr__(self, "methods", methods)
 
 
+@functools.lru_cache(maxsize=8)
+def _grid(G: int, H: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``g_idx`` and ``h_idx`` of the complete G-by-H grid, row-major."""
+    g_idx = np.repeat(np.arange(G, dtype=np.intp), H)
+    h_idx = np.tile(np.arange(H, dtype=np.intp), G)
+    for arr in (g_idx, h_idx):
+        arr.setflags(write=False)
+    return g_idx, h_idx
+
+
 def generate_dgp(config: MonteCarloConfig, rep: int) -> PanelArray:
     """One replication of the additive latent-factor array.
 
@@ -237,12 +247,8 @@ def generate_dgp(config: MonteCarloConfig, rep: int) -> PanelArray:
     x = np.empty((G * H, k + 1))
     x[:, 0] = 1.0
     x[:, 1:] = slopes.reshape(G * H, k)
-    return PanelArray(
-        G=G, H=H,
-        g_idx=np.repeat(np.arange(G), H),
-        h_idx=np.tile(np.arange(H), G),
-        y=y.reshape(-1), x=x,
-    )
+    g_idx, h_idx = _grid(G, H)
+    return PanelArray(G=G, H=H, g_idx=g_idx, h_idx=h_idx, y=y.reshape(-1), x=x)
 
 
 def true_beta(config: MonteCarloConfig, tau: float) -> np.ndarray:
@@ -327,24 +333,6 @@ def _replication_outcome(config: MonteCarloConfig, rep: int) -> np.ndarray:
     return out
 
 
-def _chunk_bounds(reps: int, n_jobs: int, cpus: int) -> list[tuple[int, int]]:
-    """Contiguous ``[lo, hi)`` replication ranges, one per worker.
-
-    There are ``min(n_jobs, reps, cpus)`` ranges (at least one); they cover
-    ``range(reps)`` in order and their sizes differ by at most one.
-    """
-    w = max(1, min(n_jobs, reps, cpus))
-    return [(reps * i // w, reps * (i + 1) // w) for i in range(w)]
-
-
-def _chunk_outcomes(config: MonteCarloConfig, lo: int, hi: int) -> np.ndarray:
-    """Outcome rows of replications ``lo .. hi - 1``, in replication order."""
-    block = np.empty((hi - lo, len(config.methods)), dtype=np.int8)
-    for rep in range(lo, hi):
-        block[rep - lo] = _replication_outcome(config, rep)
-    return block
-
-
 def _openblas_thread_controls() -> list[tuple]:
     """(get, set) thread-count functions of each OpenBLAS in this process.
 
@@ -384,9 +372,9 @@ def _one_blas_thread():
     and with OpenBLAS at its default thread count two workers ran slower
     than one. The serial path is limited too, because OpenBLAS results can
     depend on its thread count (they did at n = 14400, d = 20 with OpenBLAS
-    0.3.31) and outcomes must not depend on ``n_jobs``. ``nongaussian_demo``
-    and ``twqr fit`` run inside it for the same reason: their results must
-    not depend on the machine's core count. Any other BLAS is left as it is.
+    0.3.31) and outcomes must not depend on ``n_jobs``. ``twqr fit`` runs
+    inside it for the same reason: its results must not depend on the
+    machine's core count. Any other BLAS is left as it is.
     """
     controls = [(set_, get()) for get, set_ in _openblas_thread_controls()]
     for set_, _ in controls:
@@ -398,38 +386,43 @@ def _one_blas_thread():
             set_(n)
 
 
-def _outcome_rows(config: MonteCarloConfig, n_jobs: int) -> np.ndarray:
-    """Outcome rows of every replication, in replication order.
+def _replicate(rep_fn, args: tuple, reps: int, n_jobs: int) -> list:
+    """``rep_fn(*args, rep)`` for each of ``reps`` replications, in order.
 
-    With more than one chunk, each chunk runs in a worker process forked
-    from this one and returns its block. Where ``fork`` is unavailable the
-    run is serial.
+    Every OpenBLAS runs one thread. With ``min(n_jobs, reps, CPUs)`` workers
+    above one, the replications are cut into contiguous chunks of
+    ceil(reps / workers) that run in processes forked from this one, and
+    ``starmap`` returns the rows in replication order. The pool sends
+    ``rep_fn`` by name, so it must be a module-level function. Where
+    ``fork`` is unavailable the run is serial.
     """
-    bounds = _chunk_bounds(config.reps, n_jobs, os.cpu_count() or 1)
-    if len(bounds) == 1 or "fork" not in multiprocessing.get_all_start_methods():
-        return _chunk_outcomes(config, 0, config.reps)
-    # fork, not spawn: a spawned worker re-imports numpy, scipy and twqr,
-    # about half a second each, the time of some 40 acceptance-design
-    # replications.
-    with multiprocessing.get_context("fork").Pool(len(bounds)) as pool:
-        blocks = pool.starmap(_chunk_outcomes, [(config, lo, hi) for lo, hi in bounds])
-    return np.concatenate(blocks)
+    jobs = [(*args, rep) for rep in range(reps)]
+    workers = min(n_jobs, reps, os.cpu_count() or 1)
+    with _one_blas_thread():
+        if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
+            return [rep_fn(*job) for job in jobs]
+        # fork, not spawn: a spawned worker re-imports numpy, scipy and twqr,
+        # about half a second each, the time of some 40 acceptance-design
+        # replications.
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            return pool.starmap(rep_fn, jobs, chunksize=math.ceil(reps / workers))
 
 
 def rejection_experiment(config: MonteCarloConfig, n_jobs: int = 1) -> RejectionReport:
     """Size of the nominal-5% t-test of the last coefficient.
 
-    ``n_jobs`` is the number of worker processes. The replications are
-    split into fixed contiguous chunks, one per worker and at most one per
-    CPU, and every OpenBLAS runs one thread. Each replication is a pure
-    function of (config, rep) and the chunks are joined in replication
-    order, so the report does not depend on ``n_jobs``. A method with more
-    than FAILURE_TOLERANCE failed replications aborts the run rather than
-    reporting a biased frequency.
+    ``n_jobs`` (an integer >= 1) is the number of worker processes, at most
+    one per CPU; ``_replicate`` says how the replications are shared out.
+    Each replication is a pure function of (config, rep) and the rows come
+    back in replication order, so the report does not depend on ``n_jobs``.
+    A method with more than FAILURE_TOLERANCE failed replications aborts
+    the run rather than reporting a biased frequency.
     """
+    n_jobs = _number("n_jobs", n_jobs, True)
+    if n_jobs < 1:
+        raise InvalidConfig(f"n_jobs must be >= 1, got {n_jobs}")
     reps = config.reps
-    with _one_blas_thread():
-        outcomes = _outcome_rows(config, n_jobs)
+    outcomes = np.stack(_replicate(_replication_outcome, (config,), reps, n_jobs))
     freqs: dict[str, float] = {}
     ses: dict[str, float] = {}
     used: dict[str, int] = {}
@@ -655,6 +648,28 @@ class NonGaussianDemo:
     summary: NonGaussianSummary
 
 
+def _interaction_estimate(G: int, H: int, p_plus: float, seed: int, rep: int) -> float:
+    """sqrt(GH)·(beta_hat - 1) of one demo replication, or NaN when the fit
+    raises a ``NumericError`` or does not converge."""
+    u = _stream(seed, rep, _UX, 0).standard_normal(G)
+    v = _stream(seed, rep, _VX, 0).standard_normal(H) + 1.0
+    ue = 2 * _stream(seed, rep, _UE, 0).integers(0, 2, G) - 1
+    ve = 2 * (_stream(seed, rep, _VE, 0).random(H) < p_plus).astype(np.intp) - 1
+    we = _stream(seed, rep, _WE, 0).uniform(-1.0, 1.0, (G, H))
+    x = np.outer(u, v)
+    e = ue[:, None] * ve[None, :] * np.abs(we)
+    g_idx, h_idx = _grid(G, H)
+    panel = PanelArray(G=G, H=H, g_idx=g_idx, h_idx=h_idx,
+                       y=(x + e).reshape(-1), x=x.reshape(-1, 1))
+    try:
+        fit = fit_qr(panel, 0.5)
+    except NumericError:
+        return math.nan
+    if not fit.solver.converged:
+        return math.nan
+    return math.sqrt(G * H) * (float(fit.beta_hat[0]) - 1.0)
+
+
 def nongaussian_demo(G: int, H: int, c: float, reps: int,
                      seed: int) -> NonGaussianDemo:
     """Median regression where the interaction component dominates.
@@ -680,33 +695,10 @@ def nongaussian_demo(G: int, H: int, c: float, reps: int,
     p_plus = 0.5 + c / (2.0 * math.sqrt(H))
     if p_plus > 1.0:
         raise InvalidConfig(f"c={c} too large for H={H}: sign probability exceeds 1")
-    g_idx = np.repeat(np.arange(G), H)
-    h_idx = np.tile(np.arange(H), G)
-    vals = np.empty(reps)
-    ok = np.zeros(reps, dtype=bool)
-    scale = math.sqrt(G * H)
-    with _one_blas_thread():
-        for rep in range(reps):
-            u = _stream(seed, rep, _UX, 0).standard_normal(G)
-            v = _stream(seed, rep, _VX, 0).standard_normal(H) + 1.0
-            ue = 2 * _stream(seed, rep, _UE, 0).integers(0, 2, G) - 1
-            ve = 2 * (_stream(seed, rep, _VE, 0).random(H) < p_plus).astype(np.intp) - 1
-            we = _stream(seed, rep, _WE, 0).uniform(-1.0, 1.0, (G, H))
-            x = np.outer(u, v)
-            e = ue[:, None] * ve[None, :] * np.abs(we)
-            panel = PanelArray(G=G, H=H, g_idx=g_idx, h_idx=h_idx,
-                               y=(x + e).reshape(-1), x=x.reshape(-1, 1))
-            try:
-                fit = fit_qr(panel, 0.5)
-            except NumericError:
-                continue
-            if not fit.solver.converged:
-                continue
-            vals[rep] = scale * (float(fit.beta_hat[0]) - 1.0)
-            ok[rep] = True
-    failures = int(reps - ok.sum())
+    vals = np.array(_replicate(_interaction_estimate, (G, H, p_plus, seed), reps, 1))
+    empirical = vals[~np.isnan(vals)]
+    failures = reps - len(empirical)
     _check_failures(failures, reps)
-    empirical = vals[ok]
     gen_ref = _stream(seed, 0, _ORACLE_BASE, 0)
     raw = (gen_ref.standard_normal(_REF_CALIBRATION_SIZE)
            * (gen_ref.standard_normal(_REF_CALIBRATION_SIZE) + c))

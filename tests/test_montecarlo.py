@@ -3,7 +3,9 @@
 import dataclasses
 import math
 import multiprocessing
+import multiprocessing.pool
 import os
+import types
 import warnings
 
 import numpy as np
@@ -187,6 +189,29 @@ def test_dgp_no_row_dependence_without_shared_latents():
     assert abs(off.mean()) < 0.05
 
 
+def test_dgp_replications_share_one_read_only_grid(monkeypatch):
+    mc._grid.cache_clear()  # so no panel has seen the pair yet
+    for idx in mc._grid(7, 5):
+        with pytest.raises(ValueError, match="read-only"):
+            idx[0] = 1
+    cfg = small_config(G=7, H=5)
+    a, b = generate_dgp(cfg, 0), generate_dgp(cfg, 1)
+    assert a.g_idx is b.g_idx and a.h_idx is b.h_idx
+    assert (a.g_idx, a.h_idx) == mc._grid(7, 5)
+    # the demo's panels use the same pair
+    panels = []
+    real_fit = mc.fit_qr
+
+    def recording_fit(panel, tau):
+        panels.append(panel)
+        return real_fit(panel, tau)
+
+    monkeypatch.setattr(mc, "fit_qr", recording_fit)
+    nongaussian_demo(G=7, H=5, c=0.0, reps=500, seed=0)
+    assert len(panels) == 500
+    assert all(p.g_idx is a.g_idx and p.h_idx is a.h_idx for p in panels)
+
+
 def test_true_beta_values_and_fit_consistency():
     cfg = small_config(weights=PURE_IID)
     assert_allclose(true_beta(cfg, 0.5), [1.0, 1.0], rtol=1e-15)
@@ -285,49 +310,96 @@ needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_meth
                                 reason="the worker pool forks")
 
 
+def _planned_chunks(monkeypatch, reps, n_jobs, cpus):
+    """Worker count and ``[lo, hi)`` chunks ``_replicate`` hands its pool.
+
+    The pool is a stand-in that records its size and cuts the job list the
+    way ``multiprocessing.pool.Pool`` does, then runs the chunks in order.
+    """
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork"])
+    plan = []
+
+    class Pool:
+        def __init__(self, processes):
+            plan.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, jobs, chunksize):
+            chunks = [chunk for _, chunk in
+                      multiprocessing.pool.Pool._get_tasks(fn, jobs, chunksize)]
+            plan.append([(chunk[0][-1], chunk[-1][-1] + 1) for chunk in chunks])
+            return [fn(*job) for chunk in chunks for job in chunk]
+
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method: types.SimpleNamespace(Pool=Pool))
+    rows = mc._replicate(lambda rep: rep, (), reps, n_jobs)
+    assert rows == list(range(reps))
+    return tuple(plan) if plan else (1, [(0, reps)])
+
+
 @pytest.mark.parametrize("reps, n_jobs, cpus, expected", [
     (3, 8, 16, [(0, 1), (1, 2), (2, 3)]),         # fewer reps than workers
-    (7, 2, 2, [(0, 3), (3, 7)]),                   # reps not divisible
-    (10, 3, 4, [(0, 3), (3, 6), (6, 10)]),
+    (7, 2, 2, [(0, 4), (4, 7)]),                   # reps not divisible
+    (10, 3, 4, [(0, 4), (4, 8), (8, 10)]),
     (2000, 10_000, 2, [(0, 1000), (1000, 2000)]),  # far more workers than CPUs
     (5, 1, 8, [(0, 5)]),
     (1, 4, 4, [(0, 1)]),
     (9, 4, 1, [(0, 9)]),
 ])
-def test_chunk_bounds(reps, n_jobs, cpus, expected):
-    assert mc._chunk_bounds(reps, n_jobs, cpus) == expected
+def test_chunk_bounds(monkeypatch, reps, n_jobs, cpus, expected):
+    workers, chunks = _planned_chunks(monkeypatch, reps, n_jobs, cpus)
+    assert workers == min(n_jobs, reps, cpus)
+    assert chunks == expected
 
 
-def test_chunk_bounds_partition_in_order():
+def test_chunk_bounds_partition_in_order(monkeypatch):
     for reps in range(1, 40):
         for n_jobs in (1, 2, 3, 5, 8, 64, 10**9):
             for cpus in (1, 2, 3, 4, 7, 128):
-                bounds = mc._chunk_bounds(reps, n_jobs, cpus)
-                assert len(bounds) == min(n_jobs, reps, cpus)
-                assert bounds[0][0] == 0 and bounds[-1][1] == reps
-                assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
-                sizes = [hi - lo for lo, hi in bounds]
-                assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+                workers, chunks = _planned_chunks(monkeypatch, reps, n_jobs, cpus)
+                assert workers == min(n_jobs, reps, cpus)
+                assert len(chunks) <= workers
+                assert chunks[0][0] == 0 and chunks[-1][1] == reps
+                assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+                sizes = [hi - lo for lo, hi in chunks]
+                assert set(sizes[:-1]) <= {math.ceil(reps / workers)} and sizes[-1] >= 1
 
 
 @needs_fork
 @pytest.mark.parametrize("n_jobs", [2, 3])
 def test_pool_outcome_rows_equal_serial(monkeypatch, n_jobs):
+    # the size experiment's outcome rows and the demo's estimates
     cfg = small_config(reps=7)
-    serial = mc._outcome_rows(cfg, 1)
+    cases = [(mc._replication_outcome, (cfg,), np.int8),
+             (mc._interaction_estimate, (9, 7, 0.6, 3), np.float64)]
+    serial = [np.array(mc._replicate(fn, args, 7, 1)) for fn, args, _ in cases]
+    assert serial[0].shape == (7, len(cfg.methods)) and not np.isnan(serial[1]).any()
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    contexts = []
+    pool_sizes = []
     real_get_context = multiprocessing.get_context
 
     def spy(method):
-        contexts.append(method)
-        return real_get_context(method)
+        assert method == "fork"
+        context = real_get_context(method)
+
+        def pool(processes):
+            pool_sizes.append(processes)
+            return context.Pool(processes)
+
+        return types.SimpleNamespace(Pool=pool)
 
     monkeypatch.setattr(multiprocessing, "get_context", spy)
-    pooled = mc._outcome_rows(cfg, n_jobs)
-    assert contexts == ["fork"]
-    assert pooled.dtype == np.int8 and pooled.shape == (7, len(cfg.methods))
-    assert pooled.tobytes() == serial.tobytes()
+    for (fn, args, dtype), rows in zip(cases, serial):
+        pooled = np.array(mc._replicate(fn, args, 7, n_jobs))
+        assert pooled.dtype == dtype and pooled.shape[0] == 7
+        assert pooled.tobytes() == rows.tobytes()
+    assert pool_sizes == [n_jobs, n_jobs]  # min(n_jobs, reps, cpus)
     assert multiprocessing.active_children() == []
 
 
@@ -345,14 +417,15 @@ def test_no_fork_start_method_runs_serially(monkeypatch):
 
 @needs_fork
 def test_worker_exception_propagates_and_pool_is_reaped(monkeypatch):
-    real = mc._replication_outcome
+    real = mc.generate_dgp
 
     def failing(config, rep):
         if rep == 5:
             raise ValueError("synthetic failure in replication 5")
         return real(config, rep)
 
-    monkeypatch.setattr(mc, "_replication_outcome", failing)
+    # the workers are forked, so they call the patched module attribute
+    monkeypatch.setattr(mc, "generate_dgp", failing)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     with pytest.raises(ValueError, match="replication 5"):
         rejection_experiment(small_config(reps=7), n_jobs=2)
@@ -365,7 +438,7 @@ def test_replications_run_with_one_blas_thread(monkeypatch):
     if not controls:
         pytest.skip("no OpenBLAS found in this process")
     before = [get() for get, _ in controls]
-    real = mc._replication_outcome
+    real = mc.generate_dgp
 
     def checked(config, rep):
         counts = [get() for get, _ in mc._openblas_thread_controls()]
@@ -373,7 +446,7 @@ def test_replications_run_with_one_blas_thread(monkeypatch):
             raise RuntimeError(f"BLAS thread counts {counts} in replication {rep}")
         return real(config, rep)
 
-    monkeypatch.setattr(mc, "_replication_outcome", checked)
+    monkeypatch.setattr(mc, "generate_dgp", checked)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     for n_jobs in (1, 2):
         rejection_experiment(small_config(reps=4), n_jobs=n_jobs)
@@ -394,6 +467,12 @@ def test_replications_run_with_one_blas_thread(monkeypatch):
         with mc._one_blas_thread():
             raise ValueError("leaves the block")
     assert [get() for get, _ in controls] == before
+
+
+@pytest.mark.parametrize("n_jobs", [0, -3, True, 2.5, "2"])
+def test_rejection_experiment_rejects_bad_n_jobs(n_jobs):
+    with pytest.raises(InvalidConfig, match="n_jobs"):
+        rejection_experiment(small_config(reps=2), n_jobs=n_jobs)
 
 
 def test_rejection_report_contents():
