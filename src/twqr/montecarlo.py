@@ -10,7 +10,12 @@ product of normals.
 Every replication is a pure function of (seed, replication index) through
 counter-based RNG streams, so results do not depend on worker counts:
 stream ids partition row, column, and cell latents, error latents, and
-regressor dimensions. Both the size experiment and the demo run their
+regressor dimensions. Stream (rep, stream, j) is the Philox generator of
+``SeedSequence(entropy=seed, spawn_key=(rep, stream, j))``, bit for bit;
+its key comes from a key schedule that runs SeedSequence's mixing in
+numpy for a block of replications at once, and each call site re-keys one
+Philox per stream instead of building a SeedSequence and a generator for
+each. Both the size experiment and the demo run their
 replications through one map, ``_replicate``: a fork pool of contiguous
 chunks, or a serial loop, with every OpenBLAS at one thread.
 """
@@ -25,6 +30,7 @@ import math
 import multiprocessing
 import numbers
 import os
+from collections.abc import Iterator
 from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
@@ -79,10 +85,121 @@ _DIRECT_STREAM = 14
 _REF_CALIBRATION_SIZE = 200_000
 
 
-def _stream(seed: int, *key: int) -> np.random.Generator:
-    """Independent counter-based stream keyed by (seed, *key)."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
-    return np.random.Generator(np.random.Philox(ss))
+# --- keyed streams ---
+#
+# Stream (rep, stream, j) of a seed is the Philox generator of
+# SeedSequence(entropy=seed, spawn_key=(rep, stream, j)). Its key is that
+# SeedSequence's generate_state(2, np.uint64), computed here with numpy's
+# pool mixing (numpy/random/bit_generator.pyx) over many spawn keys at
+# once: the seed's words fill the pool of four, zero-padded, so their share
+# of the mixing is computed once as scalars, and each spawn-key word then
+# mixes into the pool as one uint32 column operation over every row.
+
+_MASK32 = 0xFFFF_FFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875   # pool mixing
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED   # state generation
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_KEY_BLOCK = 64  # replications per cached block of keys
+_ZERO4 = np.zeros(4, dtype=np.uint64)
+_ZERO4.setflags(write=False)
+
+
+def _hashmix(value, hash_const: int, mult: int = _MULT_A):
+    """numpy's hashmix of a uint32 word, an int or a uint32 array, and the
+    next hash constant."""
+    hash_const_next = hash_const * mult & _MASK32
+    value = (value ^ hash_const) * hash_const_next & _MASK32
+    return value ^ value >> 16, hash_const_next
+
+
+def _mix(x, y):
+    r = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+def _mix_in(pool: list, words, hash_const: int) -> int:
+    """Mix each word into every pool entry; return the next hash constant."""
+    for word in words:
+        for dst in range(_POOL_SIZE):
+            value, hash_const = _hashmix(word, hash_const)
+            pool[dst] = _mix(pool[dst], value)
+    return hash_const
+
+
+@functools.lru_cache(maxsize=16)
+def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
+    """The pool after the seed's words, and the hash constant after them."""
+    if seed < 0:
+        raise InvalidConfig(f"seed must be >= 0, got {seed}")
+    words = [seed & _MASK32]
+    while seed := seed >> 32:
+        words.append(seed & _MASK32)
+    words += [0] * (_POOL_SIZE - len(words))  # the padding a spawn key implies
+    pool, hash_const = [], _INIT_A
+    for word in words[:_POOL_SIZE]:
+        value, hash_const = _hashmix(word, hash_const)
+        pool.append(value)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], value)
+    hash_const = _mix_in(pool, words[_POOL_SIZE:], hash_const)
+    return tuple(pool), hash_const
+
+
+def _philox_keys(seed: int, spawn_keys) -> np.ndarray:
+    """Philox keys, shape (m, 2) uint64, of ``SeedSequence(entropy=seed,
+    spawn_key=row)`` for each of the m rows of ``spawn_keys``.
+
+    Every spawn-key entry must lie in [0, 2**32), where it is one word.
+    """
+    spawn_keys = np.asarray(spawn_keys)
+    if spawn_keys.min() < 0 or spawn_keys.max() > _MASK32:
+        raise InvalidConfig("replication numbers and stream ids must lie in [0, 2**32)")
+    pool, hash_const = _seed_pool(seed)
+    pool = [np.full(len(spawn_keys), word, dtype=np.uint32) for word in pool]
+    _mix_in(pool, spawn_keys.T.astype(np.uint32), hash_const)
+    words, hash_const = [], _INIT_B
+    for word in pool:  # generate_state(2, np.uint64): four words, little end first
+        value, hash_const = _hashmix(word, hash_const, _MULT_B)
+        words.append(value.astype(np.uint64))
+    return np.column_stack((words[0] | words[1] << 32, words[2] | words[3] << 32))
+
+
+@functools.lru_cache(maxsize=16)
+def _key_block(seed: int, block: int, layout: tuple) -> np.ndarray:
+    """Read-only keys, shape (_KEY_BLOCK, len(layout), 2): entry [r, i] keys
+    stream ``layout[i]``, a (stream, j) pair, of replication
+    ``block * _KEY_BLOCK + r``."""
+    spawn = np.empty((_KEY_BLOCK, len(layout), 3), dtype=np.int64)
+    spawn[:, :, 0] = np.arange(block * _KEY_BLOCK, (block + 1) * _KEY_BLOCK)[:, None]
+    spawn[:, :, 1:] = layout
+    keys = _philox_keys(seed, spawn.reshape(-1, 3)).reshape(_KEY_BLOCK, len(layout), 2)
+    keys.setflags(write=False)
+    return keys
+
+
+def _keyed(keys: np.ndarray) -> Iterator[np.random.Generator]:
+    """One Generator, keyed in turn by each row of ``keys``.
+
+    A re-key sets a zero counter, a spent buffer and no stored half word,
+    so each item draws what a fresh ``Philox(key=row)`` would. It is the
+    same Generator each time: draw from an item before taking the next.
+    """
+    bits = np.random.Philox(key=keys[0])
+    gen = np.random.Generator(bits)
+    yield gen
+    for key in keys[1:]:
+        bits.state = {"bit_generator": "Philox", "state": {"counter": _ZERO4, "key": key},
+                      "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        yield gen
+
+
+def _rep_streams(seed: int, rep: int, layout: tuple) -> Iterator[np.random.Generator]:
+    """``_keyed`` over replication ``rep``'s streams, in ``layout`` order."""
+    return _keyed(_key_block(seed, rep // _KEY_BLOCK, layout)[rep % _KEY_BLOCK])
 
 
 def _number(name: str, v, integer: bool) -> int | float:
@@ -213,13 +330,10 @@ class MonteCarloConfig:
 
 
 @functools.lru_cache(maxsize=8)
-def _grid(G: int, H: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``g_idx`` and ``h_idx`` of the complete G-by-H grid, row-major."""
-    g_idx = np.repeat(np.arange(G, dtype=np.intp), H)
-    h_idx = np.tile(np.arange(H, dtype=np.intp), G)
-    for arr in (g_idx, h_idx):
-        arr.setflags(write=False)
-    return g_idx, h_idx
+def _dgp_layout(k: int) -> tuple:
+    """``generate_dgp``'s streams in the order it draws from them."""
+    slopes = tuple((s, j) for j in range(k) for s in (_UX, _VX, _WX))
+    return slopes + ((_UE, 0), (_VE, 0), (_WE, 0))
 
 
 def generate_dgp(config: MonteCarloConfig, rep: int) -> PanelArray:
@@ -229,26 +343,26 @@ def generate_dgp(config: MonteCarloConfig, rep: int) -> PanelArray:
     column latent V_h, and cell latent W_gh with the configured weights;
     the error is the analogous combination of its own latents. The
     response is y = 1 + sum of slopes + error, so every coefficient is 1
-    at the median.
+    at the median. ``rep`` must lie in [0, 2**32).
     """
     w = config.weights
     G, H, k = config.G, config.H, config.d - 1
+    streams = _rep_streams(config.seed, rep, _dgp_layout(k))
     slopes = np.empty((G, H, k))
     for j in range(k):
-        u = _stream(config.seed, rep, _UX, j).standard_normal(G)
-        v = _stream(config.seed, rep, _VX, j).standard_normal(H)
-        cell = _stream(config.seed, rep, _WX, j).standard_normal((G, H))
+        u = next(streams).standard_normal(G)
+        v = next(streams).standard_normal(H)
+        cell = next(streams).standard_normal((G, H))
         slopes[:, :, j] = w.wUx * u[:, None] + w.wVx * v[None, :] + w.wWx * cell
-    ue = _stream(config.seed, rep, _UE, 0).standard_normal(G)
-    ve = _stream(config.seed, rep, _VE, 0).standard_normal(H)
-    we = _stream(config.seed, rep, _WE, 0).standard_normal((G, H))
+    ue = next(streams).standard_normal(G)
+    ve = next(streams).standard_normal(H)
+    we = next(streams).standard_normal((G, H))
     err = w.wUe * ue[:, None] + w.wVe * ve[None, :] + w.wWe * we
     y = 1.0 + slopes.sum(axis=2) + err
     x = np.empty((G * H, k + 1))
     x[:, 0] = 1.0
     x[:, 1:] = slopes.reshape(G * H, k)
-    g_idx, h_idx = _grid(G, H)
-    return PanelArray(G=G, H=H, g_idx=g_idx, h_idx=h_idx, y=y.reshape(-1), x=x)
+    return PanelArray._complete_grid(G, H, y.reshape(-1), x)
 
 
 def true_beta(config: MonteCarloConfig, tau: float) -> np.ndarray:
@@ -333,19 +447,22 @@ def _replication_outcome(config: MonteCarloConfig, rep: int) -> np.ndarray:
     return out
 
 
-def _openblas_thread_controls() -> list[tuple]:
+@functools.cache
+def _openblas_thread_controls() -> tuple[tuple, ...]:
     """(get, set) thread-count functions of each OpenBLAS in this process.
 
     numpy and scipy wheels each load their own OpenBLAS, with prefixed or
     suffixed symbol names. The libraries are found in /proc/self/maps, so
-    the list is empty where that file does not exist.
+    there are none where that file does not exist. The search runs once
+    per process: both libraries are mapped once ``twqr`` is imported, and
+    forked workers inherit the result with the mappings.
     """
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             paths = sorted({line.split(maxsplit=5)[-1].strip()
                             for line in fh if "openblas" in line})
     except OSError:
-        return []
+        return ()
     controls = []
     for path in paths:
         try:
@@ -360,7 +477,7 @@ def _openblas_thread_controls() -> list[tuple]:
                     get.argtypes, get.restype = [], ctypes.c_int
                     set_.argtypes, set_.restype = [ctypes.c_int], None
                     controls.append((get, set_))
-    return controls
+    return tuple(controls)
 
 
 @contextlib.contextmanager
@@ -510,12 +627,13 @@ def oracle_variance_components(config: MonteCarloConfig, tau: float, *,
     w = config.weights
     k = config.d - 1
     q = w.sigma_e * float(ndtri(tau))
-    # Each outer draw takes a row, a column and a cell, each from its own
-    # stream: k slope latents, then the error latent.
-    row, col, cell = (
-        np.array([_stream(seed, i, s, 0).standard_normal(k + 1) for i in range(mc_outer)])
-        for s in (_ORACLE_BASE, _ORACLE_BASE + 1, _ORACLE_BASE + 5)
-    )
+    # Each outer draw i takes a row, a column and a cell, each from its own
+    # stream (i, s, 0): k slope latents, then the error latent.
+    spawn = [(i, s, 0) for s in (_ORACLE_BASE, _ORACLE_BASE + 1, _ORACLE_BASE + 5)
+             for i in range(mc_outer)]
+    streams = _keyed(_philox_keys(seed, spawn))
+    row, col, cell = np.array([next(streams).standard_normal(k + 1)
+                               for _ in spawn]).reshape(3, mc_outer, k + 1)
     row_base, row_err = w.wUx * row[:, :k], w.wUe * row[:, k]
     col_base, col_err = w.wVx * col[:, :k], w.wVe * col[:, k]
     pair_base, pair_err = row_base + col_base, row_err + col_err
@@ -553,7 +671,7 @@ def direct_score_variance(config: MonteCarloConfig, tau: float,
     w = config.weights
     k = config.d - 1
     q = w.sigma_e * float(ndtri(tau))
-    gen = _stream(seed, 0, _DIRECT_STREAM, 0)
+    gen = next(_keyed(_philox_keys(seed, [(0, _DIRECT_STREAM, 0)])))
     slopes = (
         w.wUx * gen.standard_normal((n_draws, k))
         + w.wVx * gen.standard_normal((n_draws, k))
@@ -648,19 +766,21 @@ class NonGaussianDemo:
     summary: NonGaussianSummary
 
 
+_DEMO_LAYOUT = ((_UX, 0), (_VX, 0), (_UE, 0), (_VE, 0), (_WE, 0))
+
+
 def _interaction_estimate(G: int, H: int, p_plus: float, seed: int, rep: int) -> float:
     """sqrt(GH)·(beta_hat - 1) of one demo replication, or NaN when the fit
     raises a ``NumericError`` or does not converge."""
-    u = _stream(seed, rep, _UX, 0).standard_normal(G)
-    v = _stream(seed, rep, _VX, 0).standard_normal(H) + 1.0
-    ue = 2 * _stream(seed, rep, _UE, 0).integers(0, 2, G) - 1
-    ve = 2 * (_stream(seed, rep, _VE, 0).random(H) < p_plus).astype(np.intp) - 1
-    we = _stream(seed, rep, _WE, 0).uniform(-1.0, 1.0, (G, H))
+    streams = _rep_streams(seed, rep, _DEMO_LAYOUT)
+    u = next(streams).standard_normal(G)
+    v = next(streams).standard_normal(H) + 1.0
+    ue = 2 * next(streams).integers(0, 2, G) - 1
+    ve = 2 * (next(streams).random(H) < p_plus).astype(np.intp) - 1
+    we = next(streams).uniform(-1.0, 1.0, (G, H))
     x = np.outer(u, v)
     e = ue[:, None] * ve[None, :] * np.abs(we)
-    g_idx, h_idx = _grid(G, H)
-    panel = PanelArray(G=G, H=H, g_idx=g_idx, h_idx=h_idx,
-                       y=(x + e).reshape(-1), x=x.reshape(-1, 1))
+    panel = PanelArray._complete_grid(G, H, (x + e).reshape(-1), x.reshape(-1, 1))
     try:
         fit = fit_qr(panel, 0.5)
     except NumericError:
@@ -699,7 +819,7 @@ def nongaussian_demo(G: int, H: int, c: float, reps: int,
     empirical = vals[~np.isnan(vals)]
     failures = reps - len(empirical)
     _check_failures(failures, reps)
-    gen_ref = _stream(seed, 0, _ORACLE_BASE, 0)
+    gen_ref = next(_keyed(_philox_keys(seed, [(0, _ORACLE_BASE, 0)])))
     raw = (gen_ref.standard_normal(_REF_CALIBRATION_SIZE)
            * (gen_ref.standard_normal(_REF_CALIBRATION_SIZE) + c))
     kappa = float(_iqr(empirical) / _iqr(raw))

@@ -10,6 +10,7 @@ given file always loads to the same array.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import warnings
 from dataclasses import dataclass, field
@@ -55,6 +56,13 @@ class PanelArray:
     g_labels, h_labels : tuple
         Raw labels in first-appearance order; ``g_labels[g_idx[i]]`` is the
         raw label of observation i.
+
+    The four arrays are stored C-contiguous, as intp (indices) and float64
+    (y, x), and read-only. An argument that already has that layout and
+    dtype is stored as it is, not copied, so it becomes read-only in the
+    caller's hands too; any other argument (a list, an int or float32
+    array, a strided view) is converted into a new array and the caller's
+    object stays writable.
     """
 
     G: int
@@ -75,10 +83,7 @@ class PanelArray:
             raise DimensionMismatch("g_labels and h_labels must number G and H")
         g_idx = np.ascontiguousarray(np.asarray(self.g_idx, dtype=np.intp))
         h_idx = np.ascontiguousarray(np.asarray(self.h_idx, dtype=np.intp))
-        y = np.ascontiguousarray(np.asarray(self.y, dtype=np.float64))
-        x = np.ascontiguousarray(np.asarray(self.x, dtype=np.float64))
-        if x.ndim != 2:
-            raise DimensionMismatch("x must be a 2-D array of shape (n, d)")
+        y, x = _values(self.y, self.x)
         n = y.shape[0]
         if g_idx.shape != (n,) or h_idx.shape != (n,) or x.shape[0] != n:
             raise DimensionMismatch("g_idx, h_idx, y, x must share leading length")
@@ -94,14 +99,33 @@ class PanelArray:
             repeats[first] = False
             row = np.argmax(repeats)  # the first row that repeats an earlier cell
             raise DuplicateCell(self.g_labels[g_idx[row]], self.h_labels[h_idx[row]])
-        if not (np.isfinite(y).all() and np.isfinite(x).all()):
-            raise InputError("y and x entries must all be finite")
+        _check_finite(y, x)
         for arr in (g_idx, h_idx, y, x):
             arr.setflags(write=False)
         object.__setattr__(self, "g_idx", g_idx)
         object.__setattr__(self, "h_idx", h_idx)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "x", x)
+
+    @classmethod
+    def _complete_grid(cls, G: int, H: int, y, x) -> PanelArray:
+        """Panel of every cell of the G-by-H grid, in row-major order.
+
+        The indices and labels come from the cached ``_grid(G, H)``, which
+        is complete by construction, so only the checks that depend on y
+        and x run, each raising what the public constructor raises.
+        """
+        g_idx, h_idx, g_labels, h_labels = _grid(G, H)
+        y, x = _values(y, x)
+        if y.shape != g_idx.shape or x.shape[0] != g_idx.shape[0]:
+            raise DimensionMismatch("g_idx, h_idx, y, x must share leading length")
+        _check_finite(y, x)
+        y.setflags(write=False)
+        x.setflags(write=False)
+        panel = object.__new__(cls)
+        panel.__dict__.update(G=G, H=H, g_idx=g_idx, h_idx=h_idx, y=y, x=x,
+                              g_labels=g_labels, h_labels=h_labels)
+        return panel
 
     @property
     def n(self) -> int:
@@ -119,6 +143,33 @@ class PanelArray:
             (self.g_labels[g], self.h_labels[h], float(yv), tuple(float(v) for v in xv))
             for g, h, yv, xv in zip(self.g_idx, self.h_idx, self.y, self.x)
         }
+
+
+def _values(y, x) -> tuple[np.ndarray, np.ndarray]:
+    """y and x as C-contiguous float64 arrays, a vector and a matrix."""
+    y = np.ascontiguousarray(y, dtype=np.float64)
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise DimensionMismatch("x must be a 2-D array of shape (n, d)")
+    if y.ndim != 1:
+        raise DimensionMismatch("y must be a 1-D array of shape (n,)")
+    return y, x
+
+
+def _check_finite(y: np.ndarray, x: np.ndarray) -> None:
+    if not (np.isfinite(y).all() and np.isfinite(x).all()):
+        raise InputError("y and x entries must all be finite")
+
+
+@functools.lru_cache(maxsize=8)
+def _grid(G: int, H: int) -> tuple[np.ndarray, np.ndarray, tuple, tuple]:
+    """Read-only ``g_idx`` and ``h_idx`` of the complete G-by-H grid,
+    row-major, and its labels ``range(G)`` and ``range(H)`` as tuples."""
+    g_idx = np.repeat(np.arange(G, dtype=np.intp), H)
+    h_idx = np.tile(np.arange(H, dtype=np.intp), G)
+    for arr in (g_idx, h_idx):
+        arr.setflags(write=False)
+    return g_idx, h_idx, tuple(range(G)), tuple(range(H))
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,13 @@ def grid_panel(G, H, x, y):
                       x=np.asarray(x, dtype=float))
 
 
+def reference_stream(seed, *key):
+    """The counter-based stream keyed by (seed, *key), built the plain way:
+    ``montecarlo``'s key schedule must reproduce its key and its draws."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
+    return np.random.Generator(np.random.Philox(ss))
+
+
 def random_panel(rng, G, H, d, noise=1.0):
     """Full grid, intercept plus standard normal slopes, y = x.1 + noise."""
     n = G * H

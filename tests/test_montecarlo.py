@@ -13,7 +13,10 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.stats import norm as scipy_norm
 
+from helpers import reference_stream
+
 import twqr.montecarlo as mc
+import twqr.panel as panel_mod
 from twqr.crve import CrveKind
 from twqr.errors import (
     DegenerateDesign,
@@ -190,14 +193,16 @@ def test_dgp_no_row_dependence_without_shared_latents():
 
 
 def test_dgp_replications_share_one_read_only_grid(monkeypatch):
-    mc._grid.cache_clear()  # so no panel has seen the pair yet
-    for idx in mc._grid(7, 5):
+    panel_mod._grid.cache_clear()  # so no panel has seen the pair yet
+    g_idx, h_idx, g_labels, h_labels = panel_mod._grid(7, 5)
+    for idx in (g_idx, h_idx):
         with pytest.raises(ValueError, match="read-only"):
             idx[0] = 1
     cfg = small_config(G=7, H=5)
     a, b = generate_dgp(cfg, 0), generate_dgp(cfg, 1)
     assert a.g_idx is b.g_idx and a.h_idx is b.h_idx
-    assert (a.g_idx, a.h_idx) == mc._grid(7, 5)
+    assert a.g_idx is g_idx and a.h_idx is h_idx
+    assert a.g_labels is g_labels and a.h_labels is h_labels
     # the demo's panels use the same pair
     panels = []
     real_fit = mc.fit_qr
@@ -467,6 +472,20 @@ def test_replications_run_with_one_blas_thread(monkeypatch):
         with mc._one_blas_thread():
             raise ValueError("leaves the block")
     assert [get() for get, _ in controls] == before
+
+
+def test_blas_controls_are_found_once_per_process(monkeypatch):
+    controls = mc._openblas_thread_controls()
+    # what a fresh search of the now-loaded libraries finds
+    assert len(controls) == len(mc._openblas_thread_controls.__wrapped__())
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched for OpenBLAS again")
+
+    monkeypatch.setattr(mc, "open", no_search, raising=False)
+    monkeypatch.setattr(mc.ctypes, "CDLL", no_search)
+    with mc._one_blas_thread():
+        assert mc._openblas_thread_controls() is controls
 
 
 @pytest.mark.parametrize("n_jobs", [0, -3, True, 2.5, "2"])
@@ -858,7 +877,7 @@ def test_demo_summary_matches_scipy_stats():
 
     c, seed = 0.5, 7
     demo = nongaussian_demo(G=12, H=12, c=c, reps=500, seed=seed)
-    gen_ref = mc._stream(seed, 0, mc._ORACLE_BASE, 0)
+    gen_ref = reference_stream(seed, 0, mc._ORACLE_BASE, 0)
     raw = (gen_ref.standard_normal(mc._REF_CALIBRATION_SIZE)
            * (gen_ref.standard_normal(mc._REF_CALIBRATION_SIZE) + c))
     e = demo.empirical

@@ -184,6 +184,23 @@ def test_panel_arrays_are_read_only():
         panel.x[0, 0] = 99.0
 
 
+def test_constructor_freezes_only_the_arrays_it_keeps():
+    # a C-contiguous float64 y is stored as it is, so the caller's y freezes
+    idx = dict(G=2, H=2, g_idx=[0, 0, 1, 1], h_idx=[0, 1, 0, 1], x=np.ones((4, 1)))
+    y = np.arange(4.0)
+    panel = PanelArray(y=y, **idx)
+    assert panel.y is y
+    with pytest.raises(ValueError, match="read-only"):
+        y[0] = 5.0
+    # a list or an int array is converted, and the caller's object stays writable
+    y_list, y_int = [0.0, 1.0, 2.0, 3.0], np.arange(4)
+    for y in (y_list, y_int):
+        panel = PanelArray(y=y, **idx)
+        assert panel.y is not y
+        y[0] = 5
+        assert panel.y[0] == 0.0
+
+
 def test_validate_missing_cell_count(tmp_path):
     path = tmp_path / "p.csv"
     write_lines(path, [
