@@ -103,6 +103,9 @@ _POOL_SIZE = 4
 _KEY_BLOCK = 64  # replications per cached block of keys
 _ZERO4 = np.zeros(4, dtype=np.uint64)
 _ZERO4.setflags(write=False)
+# seeds each _keyed Philox, whose key is then set; a Philox built with no
+# seed would first read OS entropy for a SeedSequence of its own
+_UNUSED_SEED = np.random.SeedSequence(0)
 
 
 def _hashmix(value, hash_const: int, mult: int = _MULT_A):
@@ -188,10 +191,9 @@ def _keyed(keys: np.ndarray) -> Iterator[np.random.Generator]:
     so each item draws what a fresh ``Philox(key=row)`` would. It is the
     same Generator each time: draw from an item before taking the next.
     """
-    bits = np.random.Philox(key=keys[0])
+    bits = np.random.Philox(_UNUSED_SEED)
     gen = np.random.Generator(bits)
-    yield gen
-    for key in keys[1:]:
+    for key in keys:
         bits.state = {"bit_generator": "Philox", "state": {"counter": _ZERO4, "key": key},
                       "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         yield gen

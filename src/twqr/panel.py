@@ -9,6 +9,8 @@ given file always loads to the same array.
 
 from __future__ import annotations
 
+import codecs
+import contextlib
 import csv
 import functools
 import io
@@ -161,10 +163,11 @@ def _check_finite(y: np.ndarray, x: np.ndarray) -> None:
         raise InputError("y and x entries must all be finite")
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)
 def _grid(G: int, H: int) -> tuple[np.ndarray, np.ndarray, tuple, tuple]:
     """Read-only ``g_idx`` and ``h_idx`` of the complete G-by-H grid,
-    row-major, and its labels ``range(G)`` and ``range(H)`` as tuples."""
+    row-major, and its labels ``range(G)`` and ``range(H)`` as tuples. Only
+    the last is kept: a 500-by-500 grid's indices take 4 MB."""
     g_idx = np.repeat(np.arange(G, dtype=np.intp), H)
     h_idx = np.tile(np.arange(H, dtype=np.intp), G)
     for arr in (g_idx, h_idx):
@@ -249,11 +252,18 @@ def load_csv(path, schema: dict) -> PanelArray:
 
 
 def _dense_labels(raw) -> tuple[np.ndarray, tuple]:
-    """First-appearance indices and labels for a column of raw label strings.
+    """First-appearance indices and labels for a column of int64 labels,
+    returned as Python ints, or of raw label strings.
 
     Only distinct spellings are parsed; spellings that parse to the same
     label, such as ``1`` and `` 1``, share one index.
     """
+    if getattr(raw, "dtype", None) == np.int64:
+        values, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty(order.size, dtype=np.intp)
+        rank[order] = np.arange(order.size)
+        return rank[inverse], tuple(values[order].tolist())
     spellings = list(raw)
     labels: dict = {}
     index = {s: labels.setdefault(_parse_label(s), len(labels))
@@ -263,22 +273,45 @@ def _dense_labels(raw) -> tuple[np.ndarray, tuple]:
 
 
 def _load_columns(path, pos: dict, columns: list):
-    """Column-wise reader for well-formed files: one pass of numpy's C reader.
+    """Column-wise reader for well-formed files: numpy's C reader.
 
-    Returns the g and h label spellings, y and x. Raises ValueError when a
-    field does not parse as numpy reads it; the row-wise pass then decides.
+    Returns the g and h labels, y and x. An ASCII file's labels are read as
+    int64 first, which agrees with ``_parse_label`` on every spelling it
+    takes; if any field fails, the labels are read again as strings, so a
+    file whose first non-integer label comes late is parsed twice. Raises
+    ValueError when a field does not parse as numpy reads it; the row-wise
+    pass then decides.
     """
     values = [f"v{j}" for j in range(len(columns) - 2)]  # y, then each x
-    # object, not a fixed-width str dtype, which would drop trailing NULs
-    dtype = [("g", object), ("h", object), *((v, np.float64) for v in values)]
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        next(csv.reader(fh))  # the header record, which may span lines
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            records = np.loadtxt(fh, dtype=dtype, usecols=[pos[c] for c in columns],
-                                 delimiter=",", quotechar='"', comments=None, ndmin=1)
+
+    def read(label_type):
+        dtype = [("g", label_type), ("h", label_type), *((v, np.float64) for v in values)]
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            next(csv.reader(fh))  # the header record, which may span lines
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                return np.loadtxt(fh, dtype=dtype, usecols=[pos[c] for c in columns],
+                                  delimiter=",", quotechar='"', comments=None, ndmin=1)
+
+    records = None
+    if _is_ascii(path):
+        with contextlib.suppress(ValueError):
+            records = read(np.int64)
+    if records is None:
+        # object, not a fixed-width str dtype, which would drop trailing NULs
+        records = read(object)
     return (records["g"], records["h"], records[values[0]],
             np.column_stack([records[v] for v in values[1:]]))
+
+
+def _is_ascii(path) -> bool:
+    """Whether every byte after a UTF-8 byte-order mark is ASCII. numpy's
+    int64 reader passes each character to C's ``isdigit``, undefined above
+    U+00FF: "1" then U+10CECE can read as a wrong number, or crash."""
+    with open(path, "rb") as fh:
+        if fh.read(3) != codecs.BOM_UTF8:
+            fh.seek(0)
+        return all(chunk.isascii() for chunk in iter(functools.partial(fh.read, 1 << 20), b""))
 
 
 def _load_rows(path, pos: dict, columns: list):

@@ -156,6 +156,13 @@ def _interior_point(x, y, tau, gap_tol, max_iter):
     chain's comment names the array expression it computes, operation for
     operation, so every element rounds as that expression does. The iterates a, s, z, w are updated in place. ``u``
     and ``-lam`` are fresh arrays, since the best iterate keeps them.
+
+    The buffers are nine n-vectors and the n-by-d weighted design ``xq``:
+    ``r_d``, ``qinv``, ``d_a``, ``d_z``, ``d_w``, ``rc1``, ``rc2`` and the
+    scratch ``t1`` and ``t2``. ``xl`` and ``rhs_n`` live in ``t2``, since
+    ``xl`` is dead once ``r_d`` is formed and ``rhs_n`` once ``d_a`` is. The
+    start's residual is not kept; a fit whose every objective is inf or NaN
+    recomputes it.
     """
     n, d = x.shape
     xt1 = x.sum(axis=0)
@@ -171,11 +178,12 @@ def _interior_point(x, y, tau, gap_tol, max_iter):
     delta = max(1e-4, 0.1 * float(np.mean(np.abs(r0))) if n else 1e-4)
     w = np.maximum(r0, 0.0) + delta
     z = np.maximum(-r0, 0.0) + delta
+    del r0
     a = np.full(n, 1.0 - tau)
     s = np.full(n, tau)
 
-    neg_y = -y
-    xl, r_d, qinv, rhs_n, d_a, d_z, d_w, rc1, rc2, t1, t2 = (np.empty(n) for _ in range(11))
+    r_d, qinv, d_a, d_z, d_w, rc1, rc2, t1, t2 = (np.empty(n) for _ in range(9))
+    xl = rhs_n = t2
     xq = np.empty((n, d))
 
     def certified(xl, a_vec):
@@ -200,7 +208,7 @@ def _interior_point(x, y, tau, gap_tol, max_iter):
         np.divide(np.add(rc2, np.multiply(w, d_a, d_w), d_w), s, d_w)
         return d_lam
 
-    best_beta, best_u, best_obj = beta0, r0, np.inf
+    best_beta, best_u, best_obj = beta0, None, np.inf
     it = 0
     for it in range(1, max_iter + 1):
         # np.dot, not @: matmul skips BLAS when x has a single column
@@ -211,7 +219,7 @@ def _interior_point(x, y, tau, gap_tol, max_iter):
         tol = gap_tol * (1.0 + abs(obj))
         r_p = b_eq - x.T @ a
         # r_d = -y - xl - z + w
-        np.add(np.subtract(np.subtract(neg_y, xl, r_d), z, r_d), w, r_d)
+        np.add(np.subtract(np.subtract(np.negative(y, r_d), xl, r_d), z, r_d), w, r_d)
         if (gap <= tol and np.abs(r_p).max(initial=0.0) <= tol
                 and np.abs(r_d, t1).max(initial=0.0) <= tol):
             return -lam, u, obj, it - 1, gap, True
@@ -263,8 +271,9 @@ def _interior_point(x, y, tau, gap_tol, max_iter):
     u, obj, gap = certified(np.dot(x, lam), a)
     if obj < best_obj:
         best_obj, best_beta, best_u = obj, -lam, u
-    if best_u is r0:  # every objective was inf or nan: report the start's
-        best_obj = float(np.sum(r0 * (tau - (r0 <= 0.0))))
+    if best_u is None:  # every objective was inf or nan: report the start's
+        best_u = y - x @ beta0
+        best_obj = float(np.sum(best_u * (tau - (best_u <= 0.0))))
     return best_beta, best_u, best_obj, it, gap, False
 
 
@@ -347,9 +356,6 @@ def fit_qr(panel: PanelArray, tau: float, gap_tol: float = DEFAULT_GAP_TOL,
     else:
         result = _interior_point(panel.x, panel.y, tau, gap_tol, max_iter)
     beta, residuals, objective, iters, gap, converged = result
-    # a copy made once the loop's temporaries are freed: the loop's own array
-    # kept them resident, raising a 250k-row fit's peak RSS from 153 to 168 MB
-    residuals = residuals.copy()
     return QuantileFit(
         tau=float(tau),
         beta_hat=beta,

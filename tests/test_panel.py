@@ -1,5 +1,6 @@
 """Tests for CSV ingestion, panel containers, and the validation pass."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -316,6 +317,10 @@ PARITY_FILES = {
     "duplicate_then_parse_failure": ("g,h,y,x1\na,1,1.0,2.0\na,1,3.0,4.0\nb,1,oops,4.0\n",
                                      False),
     "duplicate_across_blank_row": ("g,h,y,x1\na,1,1.0,2.0\n , , , \na,1,3.0,4.0\n", False),
+    "integer_labels": ("g,h,y,x1\n30,-2,1.0,2.0\n 30,7,3.0,4.0\n+4,-2,5.0,6.0\n"
+                       '"04",7,7.0,8.0\n-0,-2,9.0,1.0\n', True),
+    "late_string_label": ("g,h,y,x1\n" + "".join(f"{g},{h},1.0,2.0\n" for g in range(3)
+                                                  for h in range(3)) + "3,z,1.0,2.0\n", True),
 }
 
 
@@ -364,6 +369,84 @@ def test_columnar_edge_cases_read_as_intended(tmp_path):
     # a byte-order mark is not part of the first column name
     assert read_header(load("utf8_bom"))[0] == "g"
     assert load_csv(load("utf8_bom"), SCHEMA).g_labels == ("a", "b")
+
+
+def label_passes(path):
+    """The label dtype of each np.loadtxt call that load_csv makes."""
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as spy:
+        load_csv(path, SCHEMA)
+    return [call.kwargs["dtype"][0][1] for call in spy.call_args_list]
+
+
+def test_label_passes(tmp_path):
+    for name, passes in [("integer_labels", [np.int64]),
+                         ("late_string_label", [np.int64, object]),
+                         ("mixed_labels", [np.int64, object])]:
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(PARITY_FILES[name][0].encode("utf-8"))
+        assert label_passes(path) == passes, name
+    panel = load_csv(tmp_path / "integer_labels.csv", SCHEMA)
+    assert panel.g_labels == (30, 4, 0) and panel.h_labels == (-2, 7)
+    assert all(type(label) is int for label in panel.g_labels + panel.h_labels)
+    assert_array_equal(panel.g_idx, [0, 0, 1, 1, 2])
+    assert panel.g_idx.dtype == np.intp
+
+
+# numpy's int64 reader and _parse_label read each of these as the same int
+INT64_SPELLINGS = {"1": 1, " 1": 1, " 1 ": 1, "+1": 1, "01": 1, "-0": 0, '"5"': 5}
+# the int64 reader rejects each of these, so the labels are read as strings
+STRING_SPELLINGS = ["1.0", "1e3", "0x10", "1_0", "\u0663", "9223372036854775808", "", "1\x00"]
+
+
+@pytest.mark.parametrize("spelling", list(INT64_SPELLINGS))
+def test_integer_label_spellings_read_alike_in_both_passes(tmp_path, spelling):
+    path = tmp_path / "p.csv"
+    path.write_bytes(f"g,h,y,x1\n{spelling},7,1.0,2.0\n2,7,3.0,4.0\n".encode("utf-8"))
+    assert label_passes(path) == [np.int64]
+    assert columnar(path) == row_wise(path)
+    assert load_csv(path, SCHEMA).g_labels == (INT64_SPELLINGS[spelling], 2)
+
+
+@pytest.mark.parametrize("spelling", STRING_SPELLINGS)
+def test_other_label_spellings_fall_back_to_strings(tmp_path, spelling):
+    path = tmp_path / "p.csv"
+    path.write_bytes(f"g,h,y,x1\n2,7,1.0,2.0\n{spelling},7,3.0,4.0\n".encode("utf-8"))
+    # a file that is not ASCII skips the int64 pass
+    assert label_passes(path) == ([np.int64, object] if spelling.isascii() else [object])
+    assert columnar(path) == row_wise(path)
+
+
+def test_labels_of_a_non_ascii_file_are_read_as_strings(tmp_path):
+    # numpy's int64 reader may crash on, or misread, characters above U+00FF
+    for text in ["g,h,y,x1\n1\U0010cece,7,1.0,2.0\n2,7,3.0,4.0\n",
+                 "g,h,y,x1\n\U0010cece,7,1.0,2.0\n2,7,3.0,4.0\n",
+                 "g,h,y,x1\n1,7,1.0,2.0\n2,7,3.0,4.0\n\u00e9,7,5.0,6.0\n"]:
+        path = tmp_path / "p.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert label_passes(path) == [object]
+        assert columnar(path) == row_wise(path)
+    path.write_bytes("\ufeffg,h,y,x1\n1,7,1.0,2.0\n".encode("utf-8"))
+    assert label_passes(path) == [np.int64]
+
+
+def test_load_csv_working_set(tmp_path):
+    """tracemalloc's peak of load_csv on a 40,000-row, d=10 file, in
+    n-vectors of float64: the int64 label pass reads 32.23."""
+    cfg = MonteCarloConfig(G=200, H=200, d=10, tau=0.5, reps=1, seed=101,
+                           weights=DgpWeights(1.0, 1.0, 1.0, 1.0, 1.0, 1.0))
+    source = generate_dgp(cfg, 0)
+    path = tmp_path / "p.csv"
+    write_csv(source, path)
+    schema = {"g": "g", "h": "h", "y": "y", "x": [f"x{j + 1}" for j in range(10)]}
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        panel = load_csv(path, schema)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert panel.y.tobytes() == source.y.tobytes()
+    assert (peak - base) / (8 * panel.n) <= 32.23 + 1
 
 
 labels = st.one_of(st.integers(-3, 30),

@@ -1,5 +1,6 @@
 """Tests for the check-loss objective, the interior-point fit, and scores."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -392,6 +393,21 @@ def test_fit_on_overflowing_design_raises_no_warning():
         warnings.simplefilter("error")
         fit = fit_qr(panel, 0.5)
     assert not fit.solver.converged
+
+
+def test_fit_working_set():
+    """tracemalloc's peak of fit_qr at G=H=200, d=10, in n-vectors of
+    float64: x q (10), nine buffers, a, s, z, w and two residuals read 25.06."""
+    panel = _acceptance_panel(200)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fit = fit_qr(panel, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fit.solver.converged
+    assert (peak - base) / (8 * panel.n) <= 25.06 + 1
 
 
 # --- the exact one-regressor path (d = 1) ---
