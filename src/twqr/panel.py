@@ -9,8 +9,6 @@ given file always loads to the same array.
 
 from __future__ import annotations
 
-import codecs
-import contextlib
 import csv
 import functools
 import io
@@ -275,43 +273,38 @@ def _dense_labels(raw) -> tuple[np.ndarray, tuple]:
 def _load_columns(path, pos: dict, columns: list):
     """Column-wise reader for well-formed files: numpy's C reader.
 
-    Returns the g and h labels, y and x. An ASCII file's labels are read as
-    int64 first, which agrees with ``_parse_label`` on every spelling it
-    takes; if any field fails, the labels are read again as strings, so a
-    file whose first non-integer label comes late is parsed twice. Raises
-    ValueError when a field does not parse as numpy reads it; the row-wise
-    pass then decides.
+    Returns the g and h labels, y and x. The labels are read as int64
+    first, which agrees with ``_parse_label`` on every spelling it takes,
+    from a file opened as ASCII: numpy's int64 reader passes each character
+    to C's ``isdigit``, undefined above U+00FF. If that pass fails other
+    than on a y or x number, the labels are read again as strings, so a
+    file whose first non-integer label or non-ASCII byte comes late is
+    parsed twice. Raises ValueError when a field does not parse as numpy
+    reads it; the row-wise pass then decides.
     """
     values = [f"v{j}" for j in range(len(columns) - 2)]  # y, then each x
 
-    def read(label_type):
+    def read(label_type, encoding):
         dtype = [("g", label_type), ("h", label_type), *((v, np.float64) for v in values)]
-        with open(path, newline="", encoding="utf-8-sig") as fh:
+        with open(path, newline="", encoding=encoding) as fh:
             next(csv.reader(fh))  # the header record, which may span lines
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                if label_type is np.int64:
+                    # numpy releases that still read "1.0" as the int 1 only warn
+                    warnings.simplefilter("error", DeprecationWarning)
                 return np.loadtxt(fh, dtype=dtype, usecols=[pos[c] for c in columns],
                                   delimiter=",", quotechar='"', comments=None, ndmin=1)
 
-    records = None
-    if _is_ascii(path):
-        with contextlib.suppress(ValueError):
-            records = read(np.int64)
-    if records is None:
+    try:
+        records = read(np.int64, "ascii")
+    except (ValueError, DeprecationWarning) as err:  # UnicodeDecodeError too
+        if " to float64 at row " in str(err):
+            raise  # a y or x field, which the string-label pass rejects alike
         # object, not a fixed-width str dtype, which would drop trailing NULs
-        records = read(object)
+        records = read(object, "utf-8-sig")
     return (records["g"], records["h"], records[values[0]],
             np.column_stack([records[v] for v in values[1:]]))
-
-
-def _is_ascii(path) -> bool:
-    """Whether every byte after a UTF-8 byte-order mark is ASCII. numpy's
-    int64 reader passes each character to C's ``isdigit``, undefined above
-    U+00FF: "1" then U+10CECE can read as a wrong number, or crash."""
-    with open(path, "rb") as fh:
-        if fh.read(3) != codecs.BOM_UTF8:
-            fh.seek(0)
-        return all(chunk.isascii() for chunk in iter(functools.partial(fh.read, 1 << 20), b""))
 
 
 def _load_rows(path, pos: dict, columns: list):

@@ -1,6 +1,7 @@
 """Tests for CSV ingestion, panel containers, and the validation pass."""
 
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -411,22 +412,54 @@ def test_integer_label_spellings_read_alike_in_both_passes(tmp_path, spelling):
 def test_other_label_spellings_fall_back_to_strings(tmp_path, spelling):
     path = tmp_path / "p.csv"
     path.write_bytes(f"g,h,y,x1\n2,7,1.0,2.0\n{spelling},7,3.0,4.0\n".encode("utf-8"))
-    # a file that is not ASCII skips the int64 pass
+    # a small file that is not ASCII fails its int64 pass at the header
     assert label_passes(path) == ([np.int64, object] if spelling.isascii() else [object])
     assert columnar(path) == row_wise(path)
 
 
 def test_labels_of_a_non_ascii_file_are_read_as_strings(tmp_path):
-    # numpy's int64 reader may crash on, or misread, characters above U+00FF
-    for text in ["g,h,y,x1\n1\U0010cece,7,1.0,2.0\n2,7,3.0,4.0\n",
-                 "g,h,y,x1\n\U0010cece,7,1.0,2.0\n2,7,3.0,4.0\n",
-                 "g,h,y,x1\n1,7,1.0,2.0\n2,7,3.0,4.0\n\u00e9,7,5.0,6.0\n"]:
+    # numpy's int64 reader may crash on, or misread, characters above U+00FF,
+    # so that pass decodes the file as ASCII and never sees them
+    rows = "".join(f"{i},7,1.0,2.0\n" for i in range(20_000))
+    for text, passes in [("g,h,y,x1\n1\U0010cece,7,1.0,2.0\n2,7,3.0,4.0\n", [object]),
+                         ("g,h,y,x1\n\U0010cece,7,1.0,2.0\n2,7,3.0,4.0\n", [object]),
+                         ("\ufeffg,h,y,x1\n1,7,1.0,2.0\n", [object]),
+                         # past the decoder's first chunk, inside np.loadtxt
+                         ("g,h,y,x1\n" + rows + "1\U0010cece,7,5.0,6.0\n", [np.int64, object])]:
         path = tmp_path / "p.csv"
         path.write_bytes(text.encode("utf-8"))
-        assert label_passes(path) == [object]
+        assert label_passes(path) == passes
         assert columnar(path) == row_wise(path)
-    path.write_bytes("\ufeffg,h,y,x1\n1,7,1.0,2.0\n".encode("utf-8"))
-    assert label_passes(path) == [np.int64]
+
+
+def test_an_int64_pass_that_only_warns_falls_back(tmp_path):
+    # numpy releases that read "1.0" as the int 1 emit a DeprecationWarning,
+    # which Python ignores by default outside __main__
+    real = np.loadtxt
+
+    def lenient(*args, dtype, **kwargs):
+        if dtype[0][1] is np.int64:
+            warnings.warn("Parsing an integer via a float is deprecated", DeprecationWarning)
+        return real(*args, dtype=dtype, **kwargs)
+
+    path = tmp_path / "p.csv"
+    path.write_bytes(b"g,h,y,x1\n1,7,1.0,2.0\n2,7,3.0,4.0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        with mock.patch.object(np, "loadtxt", side_effect=lenient) as spy:
+            assert columnar(path) == row_wise(path)
+    assert [call.kwargs["dtype"][0][1] for call in spy.call_args_list] == [np.int64, object]
+
+
+def test_a_bad_number_skips_the_string_label_pass(tmp_path):
+    # "1_0" is a float to Python, not to numpy: only the row-wise pass reads it
+    for labels, passes in [("1,7", [np.int64]), ("a,7", [np.int64, object])]:
+        path = tmp_path / "p.csv"
+        path.write_bytes(f"g,h,y,x1\n2,7,1.0,2.0\n{labels},1_0,4.0\n".encode("utf-8"))
+        with mock.patch.object(panel_module, "_load_rows", wraps=panel_module._load_rows) as rows:
+            assert label_passes(path) == passes
+        rows.assert_called_once()
+        assert outcome(path) == row_wise(path)
 
 
 def test_load_csv_working_set(tmp_path):
