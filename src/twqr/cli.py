@@ -267,11 +267,14 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except csv.Error as exc:
+        print(f"error: malformed CSV: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InputError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -247,11 +247,14 @@ def sandwich(d_hat: JacobianEstimate, omega: OmegaComponents,
     """
     d_mat = d_hat.d_hat
     factor = _memoised(d_hat, "_factor", _jacobian_factor)
-    # dpotrs is what cho_solve calls, without its per-call overhead; the
-    # finiteness checks are the ones cho_solve makes
-    half = dpotrs(factor, np.asarray_chkfinite(omega.omega_total), lower=1)[0]  # D^{-1} Omega
-    sigma = dpotrs(factor, np.asarray_chkfinite(half.T), lower=1)[0].T          # D^{-1} Omega D^{-1}
-    sigma = 0.5 * (sigma + sigma.T)
+    # dpotrs is what cho_solve calls, without its per-call overhead
+    half = dpotrs(factor, omega.omega_total, lower=1)[0]  # D^{-1} Omega
+    sigma = dpotrs(factor, half.T, lower=1)[0].T          # D^{-1} Omega D^{-1}
+    # a nearly singular D can overflow sigma, which the check below rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = 0.5 * (sigma + sigma.T)
+    if not np.isfinite(sigma).all():
+        raise NonFinite("sandwich has non-finite entries")
     diag = np.diag(sigma)
     std = np.sqrt(np.maximum(diag, 0.0))
     return VarianceEstimate(

@@ -16,11 +16,11 @@ from scipy.special import ndtri
 from .errors import (
     DegenerateDesign,
     DegenerateScale,
-    InvalidTau,
     NonpositiveBandwidth,
     ZeroBias,
 )
 from .panel import PanelArray
+from .solver import _require_tau
 
 __all__ = [
     "JacobianEstimate",
@@ -61,8 +61,7 @@ class BandwidthDiagnostics:
 
 def alpha(tau: float) -> float:
     """Gaussian-reference bias constant ``(1 - z)^2 phi(z)`` at ``z = ppf(tau)``."""
-    if not (0.0 < tau < 1.0):
-        raise InvalidTau(tau)
+    _require_tau(tau)
     z = ndtri(tau)
     # the standard normal density as scipy.stats.norm.pdf computes it; on a
     # 0-d array, since numpy's scalar exp can differ in the last bit
@@ -92,14 +91,16 @@ def rule_of_thumb_bandwidth(panel: PanelArray, residuals, tau: float) -> Bandwid
     ``sigma = MAD(residuals) / 0.6745``. The realized cell count ``n``
     stands in for the full grid size when cells are missing.
     """
-    if not (0.0 < tau < 1.0):
-        raise InvalidTau(tau)
+    a_tau = alpha(tau)  # checks tau first
     residuals = np.asarray(residuals, dtype=np.float64)
     n = panel.n
     if n < 2:
         raise DegenerateScale("need at least 2 cells for a residual scale")
-    med = _exact_median(residuals)
-    mad = _exact_median(np.abs(residuals - med))
+    # the extreme or inf residuals of an unconverged fit can leave an inf or
+    # nan scale, whose ell powell_jacobian rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        med = _exact_median(residuals)
+        mad = _exact_median(np.abs(residuals - med))
     sigma = mad / MAD_NORMALIZER
     if sigma == 0.0:
         raise DegenerateScale("MAD of residuals is zero")
@@ -116,7 +117,6 @@ def rule_of_thumb_bandwidth(panel: PanelArray, residuals, tau: float) -> Bandwid
         q_mean_norm = float(q_mean @ q_mean)
     if q_mean_norm == 0.0:
         raise DegenerateDesign("mean vech(x x') vanishes")
-    a_tau = alpha(tau)
     ell = sigma * n ** (-0.2) * (4.5 * q_norm_mean / (a_tau * q_mean_norm)) ** 0.2
     return BandwidthDiagnostics(
         sigma_hat=sigma,

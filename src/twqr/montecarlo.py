@@ -12,12 +12,13 @@ counter-based RNG streams, so results do not depend on worker counts:
 stream ids partition row, column, and cell latents, error latents, and
 regressor dimensions. Stream (rep, stream, j) is the Philox generator of
 ``SeedSequence(entropy=seed, spawn_key=(rep, stream, j))``, bit for bit;
-its key comes from a key schedule that runs SeedSequence's mixing in
-numpy for a block of replications at once, and each call site re-keys one
-Philox per stream instead of building a SeedSequence and a generator for
-each. Both the size experiment and the demo run their
-replications through one map, ``_replicate``: a fork pool of contiguous
-chunks, or a serial loop, with every OpenBLAS at one thread.
+its key comes from a key schedule that starts from numpy's own pool for the
+seed and mixes the spawn-key words of a block of replications in as uint32
+arrays, and each call site re-keys one Philox per stream instead of
+building a SeedSequence and a generator for each. Both the size experiment
+and the demo run their replications through one map, ``_replicate``: a
+fork pool of contiguous chunks, or a serial loop, with every OpenBLAS at
+one thread.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import functools
 import math
 import multiprocessing
 import numbers
+import operator
 import os
 from collections.abc import Iterator
 from dataclasses import MISSING, asdict, dataclass, fields
@@ -49,7 +51,7 @@ from .errors import (
 )
 from .jacobian import powell_jacobian, rule_of_thumb_bandwidth
 from .panel import PanelArray
-from .solver import fit_qr, score_matrix
+from .solver import _require_tau, fit_qr, score_matrix
 
 __all__ = [
     "DgpWeights",
@@ -91,9 +93,10 @@ _REF_CALIBRATION_SIZE = 200_000
 # SeedSequence(entropy=seed, spawn_key=(rep, stream, j)). Its key is that
 # SeedSequence's generate_state(2, np.uint64), computed here with numpy's
 # pool mixing (numpy/random/bit_generator.pyx) over many spawn keys at
-# once: the seed's words fill the pool of four, zero-padded, so their share
-# of the mixing is computed once as scalars, and each spawn-key word then
-# mixes into the pool as one uint32 column operation over every row.
+# once. The seed's words, zero-padded to the pool of four, mix in first, so
+# their share is ``SeedSequence(seed).pool`` and a closed-form hash
+# constant; each spawn-key word then mixes into the pool as one uint32
+# column operation over every row.
 
 _MASK32 = 0xFFFF_FFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875   # pool mixing
@@ -108,48 +111,18 @@ _ZERO4.setflags(write=False)
 _UNUSED_SEED = np.random.SeedSequence(0)
 
 
-def _hashmix(value, hash_const: int, mult: int = _MULT_A):
-    """numpy's hashmix of a uint32 word, an int or a uint32 array, and the
-    next hash constant."""
+def _hashmix(value: np.ndarray, hash_const: int, mult: int = _MULT_A):
+    """numpy's hashmix of each word of a uint32 array, and the next hash
+    constant; the array arithmetic wraps modulo 2**32."""
     hash_const_next = hash_const * mult & _MASK32
-    value = (value ^ hash_const) * hash_const_next & _MASK32
+    value = (value ^ hash_const) * hash_const_next
     return value ^ value >> 16, hash_const_next
 
 
-def _mix(x, y):
-    r = (_MIX_L * x - _MIX_R * y) & _MASK32
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """numpy's mix of two uint32 arrays, word by word."""
+    r = _MIX_L * x - _MIX_R * y
     return r ^ r >> 16
-
-
-def _mix_in(pool: list, words, hash_const: int) -> int:
-    """Mix each word into every pool entry; return the next hash constant."""
-    for word in words:
-        for dst in range(_POOL_SIZE):
-            value, hash_const = _hashmix(word, hash_const)
-            pool[dst] = _mix(pool[dst], value)
-    return hash_const
-
-
-@functools.lru_cache(maxsize=16)
-def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
-    """The pool after the seed's words, and the hash constant after them."""
-    if seed < 0:
-        raise InvalidConfig(f"seed must be >= 0, got {seed}")
-    words = [seed & _MASK32]
-    while seed := seed >> 32:
-        words.append(seed & _MASK32)
-    words += [0] * (_POOL_SIZE - len(words))  # the padding a spawn key implies
-    pool, hash_const = [], _INIT_A
-    for word in words[:_POOL_SIZE]:
-        value, hash_const = _hashmix(word, hash_const)
-        pool.append(value)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                value, hash_const = _hashmix(pool[src], hash_const)
-                pool[dst] = _mix(pool[dst], value)
-    hash_const = _mix_in(pool, words[_POOL_SIZE:], hash_const)
-    return tuple(pool), hash_const
 
 
 def _philox_keys(seed: int, spawn_keys) -> np.ndarray:
@@ -158,12 +131,22 @@ def _philox_keys(seed: int, spawn_keys) -> np.ndarray:
 
     Every spawn-key entry must lie in [0, 2**32), where it is one word.
     """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise InvalidConfig(f"seed must be >= 0, got {seed}")
     spawn_keys = np.asarray(spawn_keys)
     if spawn_keys.min() < 0 or spawn_keys.max() > _MASK32:
         raise InvalidConfig("replication numbers and stream ids must lie in [0, 2**32)")
-    pool, hash_const = _seed_pool(seed)
-    pool = [np.full(len(spawn_keys), word, dtype=np.uint32) for word in pool]
-    _mix_in(pool, spawn_keys.T.astype(np.uint32), hash_const)
+    # mixing the seed's w words, zero-padded to the pool of four, takes
+    # 4 * max(4, w) hashmix calls, each multiplying the hash constant by _MULT_A
+    n_words = -(-seed.bit_length() // 32)
+    hash_const = _INIT_A * pow(_MULT_A, 4 * max(_POOL_SIZE, n_words), 2**32) & _MASK32
+    pool = [np.full(len(spawn_keys), word, dtype=np.uint32)
+            for word in np.random.SeedSequence(seed).pool]
+    for word in spawn_keys.T.astype(np.uint32):
+        for dst in range(_POOL_SIZE):
+            value, hash_const = _hashmix(word, hash_const)
+            pool[dst] = _mix(pool[dst], value)
     words, hash_const = [], _INIT_B
     for word in pool:  # generate_state(2, np.uint64): four words, little end first
         value, hash_const = _hashmix(word, hash_const, _MULT_B)
@@ -350,7 +333,9 @@ def generate_dgp(config: MonteCarloConfig, rep: int) -> PanelArray:
     w = config.weights
     G, H, k = config.G, config.H, config.d - 1
     streams = _rep_streams(config.seed, rep, _dgp_layout(k))
-    slopes = np.empty((G, H, k))
+    x = np.empty((G * H, k + 1))
+    x[:, 0] = 1.0
+    slopes = x[:, 1:].reshape(G, H, k)  # a view: the slopes are drawn into x
     for j in range(k):
         u = next(streams).standard_normal(G)
         v = next(streams).standard_normal(H)
@@ -361,17 +346,20 @@ def generate_dgp(config: MonteCarloConfig, rep: int) -> PanelArray:
     we = next(streams).standard_normal((G, H))
     err = w.wUe * ue[:, None] + w.wVe * ve[None, :] + w.wWe * we
     y = 1.0 + slopes.sum(axis=2) + err
-    x = np.empty((G * H, k + 1))
-    x[:, 0] = 1.0
-    x[:, 1:] = slopes.reshape(G * H, k)
     return PanelArray._complete_grid(G, H, y.reshape(-1), x)
+
+
+def _error_quantile(config: MonteCarloConfig, tau: float) -> float:
+    """The error's tau-quantile sigma_e * Phi^-1(tau), after the tau check."""
+    _require_tau(tau)
+    return config.weights.sigma_e * float(ndtri(tau))
 
 
 def true_beta(config: MonteCarloConfig, tau: float) -> np.ndarray:
     """Population coefficients at quantile tau: unit slopes, intercept
     shifted by the error's tau-quantile."""
     beta = np.ones(config.d)
-    beta[0] = 1.0 + config.weights.sigma_e * float(ndtri(tau))
+    beta[0] = 1.0 + _error_quantile(config, tau)
     return beta
 
 
@@ -628,7 +616,7 @@ def oracle_variance_components(config: MonteCarloConfig, tau: float, *,
         seed = config.seed
     w = config.weights
     k = config.d - 1
-    q = w.sigma_e * float(ndtri(tau))
+    q = _error_quantile(config, tau)
     # Each outer draw i takes a row, a column and a cell, each from its own
     # stream (i, s, 0): k slope latents, then the error latent.
     spawn = [(i, s, 0) for s in (_ORACLE_BASE, _ORACLE_BASE + 1, _ORACLE_BASE + 5)
@@ -672,7 +660,7 @@ def direct_score_variance(config: MonteCarloConfig, tau: float,
         seed = config.seed
     w = config.weights
     k = config.d - 1
-    q = w.sigma_e * float(ndtri(tau))
+    q = _error_quantile(config, tau)
     gen = next(_keyed(_philox_keys(seed, [(0, _DIRECT_STREAM, 0)])))
     slopes = (
         w.wUx * gen.standard_normal((n_draws, k))
@@ -696,12 +684,12 @@ def true_bread(config: MonteCarloConfig, tau: float) -> np.ndarray:
     keeping this oracle independent of the closed-form normal density.
     E[xx'] is diagonal because latents are independent and centered.
     """
+    q = _error_quantile(config, tau)
     s_e = config.weights.sigma_e
     if s_e <= 0.0:
         raise DegenerateScale("error scale is zero; the density does not exist")
     from scipy.integrate import quad
 
-    q = s_e * float(ndtri(tau))
     dens, _ = quad(lambda t: math.cos(t * q) * math.exp(-0.5 * (s_e * t) ** 2),
                    0.0, np.inf)
     dens /= math.pi

@@ -97,7 +97,8 @@ def check_loss(u, tau: float):
 
 
 def _require_tau(tau: float) -> None:
-    if not (0.0 < tau < 1.0) or not np.isfinite(tau):
+    """Raise InvalidTau unless 0 < tau < 1, which NaN and +-inf fail too."""
+    if not 0.0 < tau < 1.0:
         raise InvalidTau(tau)
 
 
@@ -377,7 +378,9 @@ def score_matrix(panel: PanelArray, beta, tau: float) -> ScoreMatrix:
         raise DimensionMismatch(
             f"beta has shape {beta.shape}, expected ({panel.d},)"
         )
-    resid = panel.y - panel.x @ beta
+    # an unconverged fit's beta can overflow x @ beta; inf and nan compare too
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = panel.y - panel.x @ beta
     weight = tau - (resid <= 0.0)
     return ScoreMatrix(
         scores=panel.x * weight[:, None],

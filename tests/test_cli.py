@@ -11,6 +11,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
 from helpers import grid_panel, reference_interior_point
@@ -191,17 +193,64 @@ def test_fit_overflowing_design_is_a_numeric_error(tmp_path, capsys):
     assert "error: NonpositiveBandwidth" in capsys.readouterr().err
 
 
+# an unconverged fit whose coefficients overflow the scores' x @ beta
+OVERFLOWING_SCORES_CSV = """g,h,y,x1,x2
+1,1,4,1,-3
+1,2,1e308,-3,-2
+2,1,-3,2.1,-2
+2,2,2,5,3
+3,1,-1,-667.6,207.8
+3,2,0.5,1,1
+"""
+
+
 def test_fit_overflowing_design_prints_only_the_error_line(tmp_path):
-    # the overflows are handled (the solver stops, the bandwidth is
-    # rejected), so no RuntimeWarning reaches the user's terminal
+    # the overflows are handled (the solver stops, the bandwidth or the
+    # sandwich rejects the result), so no RuntimeWarning reaches the
+    # user's terminal
+    scores_csv = tmp_path / "overflowing_scores.csv"
+    scores_csv.write_text(OVERFLOWING_SCORES_CSV, encoding="utf-8")
     code = "import sys; from twqr.cli import main; sys.exit(main(sys.argv[1:]))"
-    out = subprocess.run([sys.executable, "-c", code, "fit", str(huge_csv(tmp_path))],
-                         env=subprocess_env(PYTHONWARNINGS="default"),
-                         capture_output=True, text=True, timeout=120)
-    assert out.returncode == 3
-    assert out.stdout == ""
-    lines = out.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: NonpositiveBandwidth"), out.stderr
+    for path, error in ((huge_csv(tmp_path), "NonpositiveBandwidth"),
+                        (scores_csv, "SingularJacobian")):
+        out = subprocess.run([sys.executable, "-c", code, "fit", str(path)],
+                             env=subprocess_env(PYTHONWARNINGS="default"),
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 3
+        assert out.stdout == ""
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {error}"), out.stderr
+
+
+# files the CSV fuzz below found: an unconverged fit whose residuals or
+# sandwich overflow, which printed a RuntimeWarning; the second then also
+# exited 1 with a ValueError from the sandwich
+EXTREME_FITS = {
+    "sandwich inf - inf": ["2,1,-4.635893504464508e-188,3.029167981958116,3.029167981958116",
+                           "3,3,-7.056467404369838e+298,-4.635893504464508e-188,-8.3283e-32",
+                           "1,2,-2.00001,-1.0272775032491224,5.41317930878801"],
+    "sandwich overflow": ["3,0,2.609919140205487e+16,-1.1332572934238669e+17,2.609919140205487e+16",
+                          "3,3,-1.7976931348623157e+308,-3.1911354316342388e+16,-1.10564e+16",
+                          "0,1,0.1,3.5285573262784027,-2.938629556533882",
+                          "1,1,-2.3188523017283007,-1.1571239761860035,-5.735111383206814e-45"],
+    "inf residual median": ["3,1,-1.7976931348623157e+308,2.3211804512984307e-253,0.87223",
+                            "1,3,-3.95984418445911e+16,-3.8445369563634504,7.183515025564166"],
+    "residual minus median": ["3,0,10.0,7.113257971544822e-58,4.5",
+                              "1,3,1.9,-5.317006333184286,2.771185611574227",
+                              "0,3,7.4137439645625705,2.0433689856986554e-187,2.00001",
+                              "3,2,-1.7976931348623155e+308,-0.0,0.5",
+                              "0,2,-1.1754943508222875e-38,3.423714779284264,5.96e-08"],
+}
+
+
+@pytest.mark.parametrize("rows", EXTREME_FITS.values(), ids=EXTREME_FITS)
+def test_fit_extreme_unconverged_design_is_a_numeric_error(tmp_path, capsys, rows):
+    # under the suite's filters a RuntimeWarning would raise
+    path = tmp_path / "extreme.csv"
+    path.write_text("\n".join(["g,h,y,x1,x2", *rows]) + "\n", encoding="utf-8")
+    assert main(["fit", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1, err
 
 
 def test_fit_zero_kernel_hits_is_a_numeric_error(tmp_path, capsys):
@@ -239,6 +288,75 @@ def test_fit_short_row_is_an_input_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "ParseFailure" in err
     assert "column 'x1' at data row 2" in err
+
+
+def _file(tmp_path, name, text, encoding="utf-8"):
+    path = tmp_path / name
+    path.write_bytes(text.encode(encoding))
+    return str(path)
+
+
+UNTERMINATED_QUOTE = "\n".join(
+    ["g,h,y,x1", '1,"1,2.0,3.0'] + [f"{i},1,1.0,2.0" for i in range(20_000)]) + "\n"
+UNREADABLE = {
+    "fit on a directory": lambda tmp: ["fit", str(tmp)],
+    "latin-1 csv": lambda tmp: [
+        "fit", _file(tmp, "l1.csv", "g,h,y,x1\n\xe9,1,1.0,2.0\n\xe9,2,2.0,1.0\n", "latin-1")],
+    "unterminated quote": lambda tmp: ["fit", _file(tmp, "quote.csv", UNTERMINATED_QUOTE)],
+    "latin-1 design": lambda tmp: [
+        "simulate", _file(tmp, "l1.json", '{"G": 12, "\xe9": 1}', "latin-1")],
+    "simulate --out names a file": lambda tmp: [
+        "simulate", str(sim_config(tmp, reps=1)), "--out", _file(tmp, "a_file", "")],
+    "demo --out names a file": lambda tmp: [
+        "demo-nongaussian", "--G", "5", "--H", "5", "--reps", "500",
+        "--out", _file(tmp, "a_file", "")],
+}
+
+
+@pytest.mark.parametrize("argv", UNREADABLE.values(), ids=UNREADABLE)
+def test_unreadable_input_or_unwritable_output_is_an_input_error(tmp_path, capsys, argv):
+    assert main(argv(tmp_path)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1].startswith("error: ")
+
+
+_CSV_TOKENS = st.one_of(
+    st.sampled_from([b"", b'"', b'"1"', b'"1', b"1_0", b"1e400", b"-1e400", b"nan", b"inf",
+                     b" 2", b"1,2", b"\xe9", "\xe9".encode(), b"\xff\xfe", b"\r"]),
+    st.integers(-3, 3).map(lambda v: str(v).encode()),
+    st.floats().map(lambda v: repr(v).encode()),
+    st.text(max_size=3).map(str.encode),
+)
+_VALUE = st.one_of(st.floats(-10.0, 10.0), st.floats(allow_nan=False, allow_infinity=False))
+_CELL = st.tuples(st.integers(0, 3), st.integers(0, 3), _VALUE, _VALUE, _VALUE)
+
+
+def _csv_row(cell):
+    return ",".join(map(repr, cell)).encode()
+
+
+# well-formed rows of distinct cells, so that some files fit, or well-formed
+# rows mixed with rows of arbitrary tokens
+_CSV_ROWS = st.one_of(
+    st.lists(_CELL, max_size=16, unique_by=lambda cell: cell[:2]).map(
+        lambda cells: [_csv_row(cell) for cell in cells]),
+    st.lists(st.one_of(_CELL.map(_csv_row),
+                       st.lists(_CSV_TOKENS, min_size=3, max_size=7).map(b",".join)),
+             max_size=12),
+)
+
+
+# derandomized: the same files every run, so the suite stays deterministic
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=_CSV_ROWS)
+def test_fit_on_arbitrary_csv_exits_0_2_or_3(tmp_path, rows):
+    # under the suite's filters a RuntimeWarning would raise, so this also
+    # checks that no warning escapes
+    path = tmp_path / "fuzz.csv"
+    path.write_bytes(b"\n".join([b"g,h,y,x1,x2", *rows]) + b"\n")
+    assert main(["fit", str(path)]) in (0, 2, 3)
 
 
 def test_simulate_single_rep_smoke(tmp_path, capsys):

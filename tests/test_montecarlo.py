@@ -23,6 +23,7 @@ from twqr.errors import (
     DegenerateScale,
     ExcessiveFailureRate,
     InvalidConfig,
+    InvalidTau,
     NonpositiveBandwidth,
     RankDeficient,
     SingularJacobian,
@@ -226,6 +227,25 @@ def test_true_beta_values_and_fit_consistency():
                            reps=1, seed=19)
     fit = fit_qr(generate_dgp(big, 0), 0.75)
     assert_allclose(fit.beta_hat, true_beta(big, 0.75), atol=0.08)
+
+
+ORACLES = {"true_beta": true_beta, "oracle_variance_components": oracle_variance_components,
+           "direct_score_variance": direct_score_variance, "true_bread": true_bread}
+
+
+@pytest.mark.parametrize("tau", [0.0, 1.0, math.nan])
+@pytest.mark.parametrize("oracle", ORACLES.values(), ids=ORACLES)
+def test_oracles_reject_tau_outside_the_unit_interval(oracle, tau):
+    with pytest.raises(InvalidTau):
+        oracle(small_config(), tau)
+
+
+def test_true_bread_checks_tau_before_the_error_scale():
+    no_error = small_config(weights=DgpWeights(0.0, 0.0, 1.0, 0.0, 0.0, 0.0))
+    with pytest.raises(InvalidTau):
+        true_bread(no_error, 0.0)
+    with pytest.raises(DegenerateScale):
+        true_bread(no_error, 0.5)
 
 
 # --- rejection experiments ---

@@ -7,8 +7,10 @@ Two golden hashes pin the engine's output bytes for any later change to
 how streams are keyed.
 """
 
+import dataclasses
 import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,11 +19,19 @@ from helpers import reference_stream
 
 import twqr.montecarlo as mc
 from twqr.errors import DimensionMismatch, InputError, InvalidConfig
-from twqr.montecarlo import DgpWeights, MonteCarloConfig, generate_dgp, nongaussian_demo
+from twqr.montecarlo import (
+    DgpWeights,
+    MonteCarloConfig,
+    generate_dgp,
+    nongaussian_demo,
+    oracle_variance_components,
+)
 from twqr.panel import PanelArray, _grid
 
-# seeds of 1, 2, 5 and 6 uint32 words
-SEEDS = (0, 29, 2**32 - 1, 2**40 + 7, 2**130 + 3, 2**170 + 3)
+# seeds of 1 to 6 uint32 words; the pool of four stops padding the seed
+# between 2**128 - 1 and 2**128
+SEEDS = (0, 29, 2**32 - 1, 2**40 + 7, 2**64 + 1, 2**96 + 5, 2**128 - 1, 2**128,
+         2**130 + 3, 2**170 + 3)
 REPS = (0, 1, 63, 64, 2**32 - 1)
 STREAM_IDS = (0, 1, 2, 3, 4, 5, 8, 9, 13, 14)
 
@@ -89,6 +99,31 @@ def test_dgp_draws_its_reference_streams():
         u = reference_stream(cfg.seed, rep, mc._UX, 1).standard_normal(5)
         v = reference_stream(cfg.seed, rep, mc._VX, 1).standard_normal(4)
         assert panel.x[:, 2].tobytes() == (u[:, None] + v[None, :] + cell).reshape(-1).tobytes()
+
+
+def test_dgp_draws_the_slopes_into_x():
+    cfg = MonteCarloConfig(G=200, H=200, d=10, tau=0.5, weights=DgpWeights(1, 1, 1, 1, 1, 1),
+                           reps=1, seed=3)
+    generate_dgp(cfg, 0)  # keys the block outside the measurement
+    tracemalloc.start()
+    try:
+        generate_dgp(cfg, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # x is ten n-vectors and peaks at 15.28 with the draws and y; slopes
+    # drawn apart and then copied into x took nine more
+    assert peak / (8 * 200 * 200) < 15.28 + 1
+
+
+def test_numpy_integer_seed_keys_as_the_int():
+    cfg = MonteCarloConfig(G=12, H=12, d=3, tau=0.5, weights=DgpWeights(1, 1, 1, 1, 1, 1),
+                           reps=1, seed=0)
+    want = oracle_variance_components(cfg, 0.3, mc_outer=64, seed=7)
+    got = oracle_variance_components(cfg, 0.3, mc_outer=64, seed=np.int64(7))
+    for f in dataclasses.fields(want):
+        assert np.asarray(getattr(got, f.name)).tobytes() == \
+            np.asarray(getattr(want, f.name)).tobytes(), f.name
 
 
 def test_schedule_rejects_what_seed_sequence_would_key_otherwise():
