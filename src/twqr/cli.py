@@ -23,6 +23,7 @@ from .errors import InputError, InvalidConfig, NumericError
 from .jacobian import powell_jacobian, rule_of_thumb_bandwidth
 from .montecarlo import (
     REPORT_COLUMNS,
+    _demo_args,
     _one_blas_thread,
     config_from_json,
     nongaussian_demo,
@@ -31,7 +32,7 @@ from .montecarlo import (
     report_to_json,
 )
 from .panel import load_csv, read_header
-from .solver import fit_qr, score_matrix
+from .solver import _require_tau, fit_qr, score_matrix
 
 __all__ = ["main", "build_parser"]
 
@@ -85,6 +86,7 @@ def _parse_nulls(raw: str | None, d: int) -> list[float]:
 def cmd_fit(args: argparse.Namespace) -> int:
     if args.bandwidth is not None and not 0.0 < args.bandwidth < math.inf:
         raise InvalidConfig(f"--bandwidth must be finite and > 0, got {args.bandwidth}")
+    _require_tau(args.tau)
     schema = _fit_schema(args)
     nulls = _parse_nulls(args.null, len(schema["x"]))
     # OpenBLAS results can depend on its thread count, so a fit must not
@@ -197,9 +199,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_demo_nongaussian(args: argparse.Namespace) -> int:
+    _demo_args(args.G, args.H, args.c, args.reps, args.seed)
+    os.makedirs(args.out, exist_ok=True)  # a bad --out fails before any replication
     demo = nongaussian_demo(G=args.G, H=args.H, c=args.c,
                             reps=args.reps, seed=args.seed)
-    os.makedirs(args.out, exist_ok=True)
     for name, sample in (("empirical", demo.empirical), ("reference", demo.reference)):
         path = os.path.join(args.out, f"{name}.csv")
         with open(path, "w", newline="", encoding="utf-8") as fh:

@@ -780,17 +780,8 @@ def _interaction_estimate(G: int, H: int, p_plus: float, seed: int, rep: int) ->
     return math.sqrt(G * H) * (float(fit.beta_hat[0]) - 1.0)
 
 
-def nongaussian_demo(G: int, H: int, c: float, reps: int,
-                     seed: int) -> NonGaussianDemo:
-    """Median regression where the interaction component dominates.
-
-    The single regressor is the product U_g·V_h and the error a
-    sign-times-magnitude product, so sqrt(GH)·(beta_hat - 1) converges to
-    a product of normals kappa·Z_U·(Z_V + c) instead of a normal. The
-    reference sample's scale kappa is calibrated by matching interquartile
-    ranges against a large raw product-normal draw and reported alongside
-    the samples.
-    """
+def _demo_args(G, H, c, reps, seed) -> tuple:
+    """The demo's arguments, checked, and its column sign probability."""
     G, H, reps, seed = (_number(k, v, True) for k, v in
                         (("G", G), ("H", H), ("reps", reps), ("seed", seed)))
     c = _number("c", c, False)
@@ -805,6 +796,21 @@ def nongaussian_demo(G: int, H: int, c: float, reps: int,
     p_plus = 0.5 + c / (2.0 * math.sqrt(H))
     if p_plus > 1.0:
         raise InvalidConfig(f"c={c} too large for H={H}: sign probability exceeds 1")
+    return G, H, c, reps, seed, p_plus
+
+
+def nongaussian_demo(G: int, H: int, c: float, reps: int,
+                     seed: int) -> NonGaussianDemo:
+    """Median regression where the interaction component dominates.
+
+    The single regressor is the product U_g·V_h and the error a
+    sign-times-magnitude product, so sqrt(GH)·(beta_hat - 1) converges to
+    a product of normals kappa·Z_U·(Z_V + c) instead of a normal. The
+    reference sample's scale kappa is calibrated by matching interquartile
+    ranges against a large raw product-normal draw and reported alongside
+    the samples.
+    """
+    G, H, c, reps, seed, p_plus = _demo_args(G, H, c, reps, seed)
     vals = np.array(_replicate(_interaction_estimate, (G, H, p_plus, seed), reps, 1))
     empirical = vals[~np.isnan(vals)]
     failures = reps - len(empirical)

@@ -236,80 +236,63 @@ def load_csv(path, schema: dict) -> PanelArray:
             raise MissingColumn(col)
     pos = {col: header.index(col) for col in columns}
     try:
-        g, h, y, x = _load_columns(path, pos, columns)
+        g_idx, h_idx, y, x, g_labels, h_labels = _load_columns(path, pos, columns)
     except ValueError:
         # Ragged or whitespace-only rows, or numerals that only float()
         # accepts: the row-wise pass reads these or names the bad field.
-        g, h, y, x = _load_rows(path, pos, columns)
+        g_idx, h_idx, y, x, g_labels, h_labels = _load_rows(path, pos, columns)
     if len(y) == 0:
         raise EmptyFile(f"{path}: header only, no data rows")
-    g_idx, g_labels = _dense_labels(g)
-    h_idx, h_labels = _dense_labels(h)
     return PanelArray(G=len(g_labels), H=len(h_labels), g_idx=g_idx, h_idx=h_idx,
                       y=y, x=x, g_labels=g_labels, h_labels=h_labels)
 
 
-def _dense_labels(raw) -> tuple[np.ndarray, tuple]:
-    """First-appearance indices and labels for a column of int64 labels,
-    returned as Python ints, or of raw label strings.
+class _LabelIndex(dict):
+    """Label spelling -> dense first-appearance index; ``labels`` maps each
+    label to its index. Each new spelling is parsed once by ``_parse_label``,
+    so spellings of one label, such as ``1`` and `` 1``, share an index."""
 
-    Only distinct spellings are parsed; spellings that parse to the same
-    label, such as ``1`` and `` 1``, share one index.
-    """
-    if getattr(raw, "dtype", None) == np.int64:
-        values, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        rank = np.empty(order.size, dtype=np.intp)
-        rank[order] = np.arange(order.size)
-        return rank[inverse], tuple(values[order].tolist())
-    spellings = list(raw)
-    labels: dict = {}
-    index = {s: labels.setdefault(_parse_label(s), len(labels))
-             for s in dict.fromkeys(spellings)}
-    return (np.fromiter(map(index.__getitem__, spellings), dtype=np.intp, count=len(spellings)),
-            tuple(labels))
+    def __init__(self):
+        super().__init__()
+        self.labels: dict = {}
+
+    def __missing__(self, spelling: str) -> int:
+        index = self[spelling] = self.labels.setdefault(_parse_label(spelling), len(self.labels))
+        return index
 
 
 def _load_columns(path, pos: dict, columns: list):
     """Column-wise reader for well-formed files: numpy's C reader.
 
-    Returns the g and h labels, y and x. The labels are read as int64
-    first, which agrees with ``_parse_label`` on every spelling it takes,
-    from a file opened as ASCII: numpy's int64 reader passes each character
-    to C's ``isdigit``, undefined above U+00FF. If that pass fails other
-    than on a y or x number, the labels are read again as strings, so a
-    file whose first non-integer label or non-ASCII byte comes late is
-    parsed twice. Raises ValueError when a field does not parse as numpy
-    reads it; the row-wise pass then decides.
+    Returns the g and h indices, y, x and the g and h labels. A converter
+    maps each g and h field through a ``_LabelIndex`` as it is read, so
+    every label, integer, text or not ASCII, follows the row-wise rule in
+    one pass. numpy converts only the first use of a file column, so g and
+    h in one column are left to the row-wise pass, as is any field that
+    numpy does not parse (ValueError).
     """
+    g_col, h_col = columns[:2]
+    if pos[g_col] == pos[h_col]:
+        raise ValueError("g and h name one column")
+    g, h = _LabelIndex(), _LabelIndex()
     values = [f"v{j}" for j in range(len(columns) - 2)]  # y, then each x
-
-    def read(label_type, encoding):
-        dtype = [("g", label_type), ("h", label_type), *((v, np.float64) for v in values)]
-        with open(path, newline="", encoding=encoding) as fh:
-            next(csv.reader(fh))  # the header record, which may span lines
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                if label_type is np.int64:
-                    # numpy releases that still read "1.0" as the int 1 only warn
-                    warnings.simplefilter("error", DeprecationWarning)
-                return np.loadtxt(fh, dtype=dtype, usecols=[pos[c] for c in columns],
-                                  delimiter=",", quotechar='"', comments=None, ndmin=1)
-
-    try:
-        records = read(np.int64, "ascii")
-    except (ValueError, DeprecationWarning) as err:  # UnicodeDecodeError too
-        if " to float64 at row " in str(err):
-            raise  # a y or x field, which the string-label pass rejects alike
-        # object, not a fixed-width str dtype, which would drop trailing NULs
-        records = read(object, "utf-8-sig")
+    dtype = [("g", np.intp), ("h", np.intp), *((v, np.float64) for v in values)]
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        next(csv.reader(fh))  # the header record, which may span lines
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            records = np.loadtxt(fh, dtype=dtype, usecols=[pos[c] for c in columns],
+                                 converters={pos[g_col]: g.__getitem__,
+                                             pos[h_col]: h.__getitem__},
+                                 delimiter=",", quotechar='"', comments=None, ndmin=1)
     return (records["g"], records["h"], records[values[0]],
-            np.column_stack([records[v] for v in values[1:]]))
+            np.column_stack([records[v] for v in values[1:]]), tuple(g.labels), tuple(h.labels))
 
 
 def _load_rows(path, pos: dict, columns: list):
     """Row-at-a-time reader: the reference parse and every ParseFailure."""
     g_col, h_col, y_col, *x_cols = columns
+    g, h = _LabelIndex(), _LabelIndex()
     gs, hs, ys, xs = [], [], [], []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -333,11 +316,11 @@ def _load_rows(path, pos: dict, columns: list):
                 except ValueError:
                     raise ParseFailure(nrow, col, text) from None
 
-            gs.append(_field(g_col))
-            hs.append(_field(h_col))
+            gs.append(g[_field(g_col)])
+            hs.append(h[_field(h_col)])
             ys.append(_num(y_col))
             xs.append([_num(c) for c in x_cols])
-    return gs, hs, ys, xs
+    return gs, hs, ys, xs, tuple(g.labels), tuple(h.labels)
 
 
 _WRITE_CHUNK_ROWS = 10_000

@@ -1,6 +1,18 @@
 """Shared pytest wiring for the suite."""
 
+import contextlib
+import warnings
+
 import pytest
+
+# hypothesis imports this module when a @given test fails, and its libcst
+# import emits a DeprecationWarning (from mypy_extensions) that the suite's
+# error::DeprecationWarning filter would turn into an INTERNALERROR ending
+# the session. Importing it once here, with that warning ignored, lets such
+# a test fail alone.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 @pytest.fixture

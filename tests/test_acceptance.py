@@ -30,6 +30,7 @@ from twqr.jacobian import powell_jacobian, rule_of_thumb_bandwidth
 from twqr.montecarlo import (
     DgpWeights,
     MonteCarloConfig,
+    _replicate,
     generate_dgp,
     nongaussian_demo,
     oracle_variance_components,
@@ -81,22 +82,30 @@ def big_demo():
     return nongaussian_demo(G=100, H=100, c=0.0, reps=2000, seed=2026)
 
 
+_N_MEAT = 500
+
+
+def _slope_and_meat(cfg: MonteCarloConfig, rep: int):
+    """Last-slope estimate of one replication, and its two-way meat if it
+    is one of the first _N_MEAT."""
+    panel = generate_dgp(cfg, rep)
+    fit = fit_qr(panel, cfg.tau)
+    beta = fit.beta_hat[cfg.d - 1]
+    if rep >= _N_MEAT:
+        return beta, None
+    return beta, omega_ctw(score_matrix(panel, fit.beta_hat, cfg.tau)).omega_total
+
+
 @pytest.fixture(scope="module")
 def two_way_draws(two_way_config):
     """Last-slope estimates for all 2000 replications and the mean
-    two-way meat over the first 500."""
+    two-way meat over the first 500, summed in replication order."""
     cfg = two_way_config
-    beta_d = np.empty(cfg.reps)
+    draws = _replicate(_slope_and_meat, (cfg,), cfg.reps, n_jobs=2)
     omega_sum = np.zeros((cfg.d, cfg.d))
-    n_meat = 500
-    for rep in range(cfg.reps):
-        panel = generate_dgp(cfg, rep)
-        fit = fit_qr(panel, cfg.tau)
-        beta_d[rep] = fit.beta_hat[cfg.d - 1]
-        if rep < n_meat:
-            scores = score_matrix(panel, fit.beta_hat, cfg.tau)
-            omega_sum += omega_ctw(scores).omega_total
-    return beta_d, omega_sum / n_meat
+    for _, meat in draws[:_N_MEAT]:
+        omega_sum += meat
+    return np.array([beta for beta, _ in draws]), omega_sum / _N_MEAT
 
 
 def test_acceptance_1_two_way_size(two_way_report, emit_verdict):

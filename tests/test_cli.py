@@ -8,6 +8,7 @@ import pathlib
 import subprocess
 import sys
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from jsonschema import Draft202012Validator
 from helpers import grid_panel, reference_interior_point
 
 import twqr
+from twqr import cli
 from twqr.cli import main
 from twqr.crve import t_test
 from twqr.jacobian import alpha
@@ -279,6 +281,9 @@ def test_fit_usage_errors(tmp_path, capsys):
     bad.write_text("g,h,y,x1\na,1,oops,1.0\n", encoding="utf-8")
     assert main(["fit", str(bad), "--null", "1,2"]) == 2
     assert "InvalidConfig" in capsys.readouterr().err
+    # and so is --tau
+    assert main(["fit", str(tmp_path / "missing.csv"), "--tau", "1.5"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: InvalidTau")
 
 
 def test_fit_short_row_is_an_input_error(tmp_path, capsys):
@@ -533,6 +538,15 @@ def test_demo_rejects_bad_seed_and_c(tmp_path, capsys, flags):
     assert rc == 2
     assert "InvalidConfig" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_demo_creates_out_before_any_replication(tmp_path, capsys):
+    not_a_directory = _file(tmp_path, "a_file", "")
+    with mock.patch.object(cli, "nongaussian_demo",
+                           side_effect=AssertionError("the demo ran")) as demo:
+        assert main(["demo-nongaussian", "--reps", "500", "--out", not_a_directory]) == 2
+    demo.assert_not_called()
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
 
 
 # --- import path ---
