@@ -19,7 +19,7 @@ import sys
 from dataclasses import asdict
 
 from .crve import CrveKind, omega_variant, sandwich, t_test
-from .errors import InputError, InvalidConfig, NumericError
+from .errors import InputError, InvalidConfig, NonFinite, NumericError
 from .jacobian import powell_jacobian, rule_of_thumb_bandwidth
 from .montecarlo import (
     REPORT_COLUMNS,
@@ -128,9 +128,12 @@ def cmd_fit(args: argparse.Namespace) -> int:
             "objective": fit.objective,
         },
     }
+    try:  # JSON has no token for NaN or Infinity, so neither format prints them
+        text = json.dumps(response, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise NonFinite("the response has a non-finite number") from None
     if args.format == "json":
-        json.dump(response, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        sys.stdout.write(text + "\n")
     else:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["coefficient", "method", "beta_hat", "null_value",

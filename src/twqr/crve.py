@@ -5,8 +5,10 @@ and on the diagonal, eigenvalue-corrects the two off-diagonal blocks, and
 adds the pieces. One-way and intersection-only comparators reuse the same
 building blocks: each estimator's meat is a fixed sum of them. The sandwich
 combines the meat with the kernel Jacobian through a single Cholesky
-factorization. The blocks and the factor are built once per panel and
-shared by the five estimators.
+factorization, LAPACK's ``potrf`` as for the solver's normal matrix. The
+blocks and the factor are built once per panel and shared by the five
+estimators. As in the solver, each stage ignores floating-point overflow
+and checks a matrix for finiteness before LAPACK factors it.
 
 Normalization divides by the squared realized cell count n^2, which equals
 (GH)^2 on complete grids; pair sums range over pairs of present cells only.
@@ -19,8 +21,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import ndtr
 
 from .errors import (
@@ -184,6 +185,7 @@ def _build_meat_blocks(scores: ScoreMatrix) -> tuple[dict[str, np.ndarray], int,
     return blocks, clip_i, clip_ii
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def omega_variant(scores: ScoreMatrix, kind: CrveKind) -> OmegaComponents:
     """Meat for any estimator family: a fixed sum of shared blocks.
 
@@ -225,18 +227,22 @@ def omega_ctw(scores: ScoreMatrix) -> OmegaComponents:
 
 
 def _jacobian_factor(d_hat: JacobianEstimate) -> np.ndarray:
-    """Lower Cholesky factor of D, after the eigenvalue-ratio check."""
+    """Lower Cholesky factor of D, after the finiteness and eigenvalue-ratio checks."""
     d_mat = d_hat.d_hat
     # the factor is kept on the JacobianEstimate, so D must not change
     d_mat.flags.writeable = False
+    if not np.isfinite(d_mat).all():
+        raise SingularJacobian("Jacobian has non-finite entries")
     vals = np.linalg.eigvalsh(d_mat)
-    if vals[0] <= 1e-10 * max(vals[-1], 0.0):
+    factor, info = dpotrf(d_mat, lower=1, clean=0)
+    if info != 0 or vals[0] <= 1e-10 * max(vals[-1], 0.0):
         raise SingularJacobian(
             f"Jacobian min/max eigenvalue ratio {vals[0]:.3e}/{vals[-1]:.3e}"
         )
-    return cho_factor(d_mat, lower=True)[0]
+    return factor
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def sandwich(d_hat: JacobianEstimate, omega: OmegaComponents,
              kind: CrveKind | None = None) -> VarianceEstimate:
     """Sandwich ``D^{-1} Omega D^{-1}`` via one reused Cholesky factorization.
@@ -251,8 +257,7 @@ def sandwich(d_hat: JacobianEstimate, omega: OmegaComponents,
     half = dpotrs(factor, omega.omega_total, lower=1)[0]  # D^{-1} Omega
     sigma = dpotrs(factor, half.T, lower=1)[0].T          # D^{-1} Omega D^{-1}
     # a nearly singular D can overflow sigma, which the check below rejects
-    with np.errstate(over="ignore", invalid="ignore"):
-        sigma = 0.5 * (sigma + sigma.T)
+    sigma = 0.5 * (sigma + sigma.T)
     if not np.isfinite(sigma).all():
         raise NonFinite("sandwich has non-finite entries")
     diag = np.diag(sigma)

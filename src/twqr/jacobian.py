@@ -83,6 +83,7 @@ def vech(m: np.ndarray) -> np.ndarray:
     return m[cols, rows]
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def rule_of_thumb_bandwidth(panel: PanelArray, residuals, tau: float) -> BandwidthDiagnostics:
     """Gaussian rule-of-thumb bandwidth from MAD residual scale.
 
@@ -96,28 +97,25 @@ def rule_of_thumb_bandwidth(panel: PanelArray, residuals, tau: float) -> Bandwid
     n = panel.n
     if n < 2:
         raise DegenerateScale("need at least 2 cells for a residual scale")
-    # the extreme or inf residuals of an unconverged fit can leave an inf or
-    # nan scale, whose ell powell_jacobian rejects
-    with np.errstate(over="ignore", invalid="ignore"):
-        med = _exact_median(residuals)
-        mad = _exact_median(np.abs(residuals - med))
+    # the extreme residuals of an unconverged fit can leave an inf or nan scale
+    med = _exact_median(residuals)
+    mad = _exact_median(np.abs(residuals - med))
     sigma = mad / MAD_NORMALIZER
     if sigma == 0.0:
         raise DegenerateScale("MAD of residuals is zero")
     # ||Q||^2 = sum_{i<=j} x_i^2 x_j^2 = (||x||^4 + sum_i x_i^4) / 2 and
-    # mean Q = vech(X'X / n), so Q itself is never formed. A design large
-    # enough to overflow these gives an ell of 0, inf or nan, which
-    # powell_jacobian rejects with NonpositiveBandwidth.
-    with np.errstate(over="ignore", invalid="ignore"):
-        x2 = panel.x * panel.x
-        row_norm2 = x2.sum(axis=1)
-        q_norm2 = 0.5 * (row_norm2 * row_norm2 + np.einsum("ij,ij->i", x2, x2))
-        q_norm_mean = float(np.mean(q_norm2))
-        q_mean = vech(panel.x.T @ panel.x / n)
-        q_mean_norm = float(q_mean @ q_mean)
+    # mean Q = vech(X'X / n), so Q itself is never formed. That scale, or an
+    # extreme design, leaves an ell of 0, inf or nan (np.divide gives inf when
+    # the denominator underflows), which powell_jacobian rejects.
+    x2 = panel.x * panel.x
+    row_norm2 = x2.sum(axis=1)
+    q_norm2 = 0.5 * (row_norm2 * row_norm2 + np.einsum("ij,ij->i", x2, x2))
+    q_norm_mean = float(np.mean(q_norm2))
+    q_mean = vech(panel.x.T @ panel.x / n)
+    q_mean_norm = float(q_mean @ q_mean)
     if q_mean_norm == 0.0:
         raise DegenerateDesign("mean vech(x x') vanishes")
-    ell = sigma * n ** (-0.2) * (4.5 * q_norm_mean / (a_tau * q_mean_norm)) ** 0.2
+    ell = sigma * n ** (-0.2) * float(np.divide(4.5 * q_norm_mean, a_tau * q_mean_norm)) ** 0.2
     return BandwidthDiagnostics(
         sigma_hat=sigma,
         alpha_tau=a_tau,
@@ -127,10 +125,12 @@ def rule_of_thumb_bandwidth(panel: PanelArray, residuals, tau: float) -> Bandwid
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def powell_jacobian(panel: PanelArray, residuals, ell: float) -> JacobianEstimate:
     """Uniform-kernel Jacobian ``(1/(n ell)) sum K(u/ell) x x'``.
 
     ``K(u) = 0.5 * 1{|u| <= 1}``; the boundary ``|u| = ell`` counts as a hit.
+    A subnormal ``ell`` can overflow D, which the sandwich rejects.
     """
     if not (ell > 0.0) or not np.isfinite(ell):
         raise NonpositiveBandwidth(f"bandwidth must be positive, got {ell}")

@@ -102,6 +102,7 @@ def _require_tau(tau: float) -> None:
         raise InvalidTau(tau)
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _primal_step(a: np.ndarray, s: np.ndarray, d_a: np.ndarray,
                  t1: np.ndarray, t2: np.ndarray) -> float:
     """Fraction-to-boundary step keeping a + alpha*d_a and s - alpha*d_a positive.
@@ -114,14 +115,14 @@ def _primal_step(a: np.ndarray, s: np.ndarray, d_a: np.ndarray,
     branch-free select rounds as the masked ratio does. Only the sign of a
     zero ratio can differ (d_a = +inf gives -0.0), so ``+ 0.0`` clears it.
     """
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # t1 = a / -d_a, t2 = s / d_a
-        np.divide(a, np.negative(d_a, t1), t1)
-        np.divide(s, d_a, t2)
+    # t1 = a / -d_a, t2 = s / d_a
+    np.divide(a, np.negative(d_a, t1), t1)
+    np.divide(s, d_a, t2)
     ratio = float(np.maximum(t1, t2, out=t1).min()) + 0.0
     return min(1.0, _STEP_SHRINK * ratio)
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _dual_step(z: np.ndarray, d_z: np.ndarray, w: np.ndarray, d_w: np.ndarray,
                t: np.ndarray) -> float:
     """Fraction-to-boundary step keeping z + alpha*d_z and w + alpha*d_w positive.
@@ -130,10 +131,9 @@ def _dual_step(z: np.ndarray, d_z: np.ndarray, w: np.ndarray, d_w: np.ndarray,
     This needs ``np.maximum(-0.0, 0.0)`` to return the second operand, +0.0;
     test_solver's step-length property checks it. ``t`` is scratch.
     """
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # t = z / np.maximum(-d_z, 0.0), then w / np.maximum(-d_w, 0.0)
-        rz = np.divide(z, np.maximum(np.negative(d_z, t), 0.0, out=t), t).min()
-        rw = np.divide(w, np.maximum(np.negative(d_w, t), 0.0, out=t), t).min()
+    # t = z / np.maximum(-d_z, 0.0), then w / np.maximum(-d_w, 0.0)
+    rz = np.divide(z, np.maximum(np.negative(d_z, t), 0.0, out=t), t).min()
+    rw = np.divide(w, np.maximum(np.negative(d_w, t), 0.0, out=t), t).min()
     return min(1.0, _STEP_SHRINK * float(min(rz, rw)))
 
 
@@ -366,6 +366,7 @@ def fit_qr(panel: PanelArray, tau: float, gap_tol: float = DEFAULT_GAP_TOL,
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def score_matrix(panel: PanelArray, beta, tau: float) -> ScoreMatrix:
     """Estimated quantile scores ``x * (tau - 1{y <= x . beta})`` per cell.
 
@@ -379,8 +380,7 @@ def score_matrix(panel: PanelArray, beta, tau: float) -> ScoreMatrix:
             f"beta has shape {beta.shape}, expected ({panel.d},)"
         )
     # an unconverged fit's beta can overflow x @ beta; inf and nan compare too
-    with np.errstate(over="ignore", invalid="ignore"):
-        resid = panel.y - panel.x @ beta
+    resid = panel.y - panel.x @ beta
     weight = tau - (resid <= 0.0)
     return ScoreMatrix(
         scores=panel.x * weight[:, None],

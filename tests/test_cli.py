@@ -16,12 +16,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
-from helpers import grid_panel, reference_interior_point
+from helpers import grid_panel, random_panel, reference_interior_point
 
 import twqr
-from twqr import cli
+from twqr import cli, errors
 from twqr.cli import main
-from twqr.crve import t_test
+from twqr.crve import CrveKind, t_test
 from twqr.jacobian import alpha
 from twqr.montecarlo import (
     REPORT_COLUMNS,
@@ -224,35 +224,84 @@ def test_fit_overflowing_design_prints_only_the_error_line(tmp_path):
         assert len(lines) == 1 and lines[0].startswith(f"error: {error}"), out.stderr
 
 
-# files the CSV fuzz below found: an unconverged fit whose residuals or
-# sandwich overflow, which printed a RuntimeWarning; the second then also
-# exited 1 with a ValueError from the sandwich
+def grid_rows(cell):
+    """Data rows of the 4 x 4 grid, ``cell(g, h)`` giving the fields after g, h."""
+    return [",".join(map(str, (g, h, *cell(g, h)))) for g in range(4) for h in range(4)]
+
+
+# the interior point leaves a NaN duality gap on this file at tau = 1e-300
+NAN_GAP = ["0,0,0.8357662828985978,1.0,8.573252413734077e-283,-0.16423371710140222",
+           "0,1,0.8072917511581998,0.27754961933588457,0.4060583553756852,-6.033750599102422e-108",
+           "1,0,-0.7280326170662328,1.0,-2.6009533972042522,0.6281884144978979",
+           "1,1,2.1599913669674904,0.45976573912382857,2.0,-0.2997743721563384"]
+
+
+# files that fuzzing found, each a header, its rows and the fit's flags: an
+# unconverged fit whose residuals or sandwich overflow, which printed a
+# RuntimeWarning, and the second then also exited 1 with a ValueError from
+# the sandwich; a subnormal bandwidth whose Jacobian overflows, which
+# exited 1 with a ValueError or a LinAlgError from factoring it, or printed
+# a RuntimeWarning; a bandwidth formula whose denominator underflows, which
+# exited 1 with a ZeroDivisionError; and a NaN duality gap, which JSON has
+# no token for, printed in either format
 EXTREME_FITS = {
-    "sandwich inf - inf": ["2,1,-4.635893504464508e-188,3.029167981958116,3.029167981958116",
-                           "3,3,-7.056467404369838e+298,-4.635893504464508e-188,-8.3283e-32",
-                           "1,2,-2.00001,-1.0272775032491224,5.41317930878801"],
-    "sandwich overflow": ["3,0,2.609919140205487e+16,-1.1332572934238669e+17,2.609919140205487e+16",
-                          "3,3,-1.7976931348623157e+308,-3.1911354316342388e+16,-1.10564e+16",
-                          "0,1,0.1,3.5285573262784027,-2.938629556533882",
-                          "1,1,-2.3188523017283007,-1.1571239761860035,-5.735111383206814e-45"],
-    "inf residual median": ["3,1,-1.7976931348623157e+308,2.3211804512984307e-253,0.87223",
-                            "1,3,-3.95984418445911e+16,-3.8445369563634504,7.183515025564166"],
-    "residual minus median": ["3,0,10.0,7.113257971544822e-58,4.5",
-                              "1,3,1.9,-5.317006333184286,2.771185611574227",
-                              "0,3,7.4137439645625705,2.0433689856986554e-187,2.00001",
-                              "3,2,-1.7976931348623155e+308,-0.0,0.5",
-                              "0,2,-1.1754943508222875e-38,3.423714779284264,5.96e-08"],
+    "sandwich inf - inf": (
+        "g,h,y,x1,x2",
+        ["2,1,-4.635893504464508e-188,3.029167981958116,3.029167981958116",
+         "3,3,-7.056467404369838e+298,-4.635893504464508e-188,-8.3283e-32",
+         "1,2,-2.00001,-1.0272775032491224,5.41317930878801"], []),
+    "sandwich overflow": (
+        "g,h,y,x1,x2",
+        ["3,0,2.609919140205487e+16,-1.1332572934238669e+17,2.609919140205487e+16",
+         "3,3,-1.7976931348623157e+308,-3.1911354316342388e+16,-1.10564e+16",
+         "0,1,0.1,3.5285573262784027,-2.938629556533882",
+         "1,1,-2.3188523017283007,-1.1571239761860035,-5.735111383206814e-45"], []),
+    "inf residual median": (
+        "g,h,y,x1,x2",
+        ["3,1,-1.7976931348623157e+308,2.3211804512984307e-253,0.87223",
+         "1,3,-3.95984418445911e+16,-3.8445369563634504,7.183515025564166"], []),
+    "residual minus median": (
+        "g,h,y,x1,x2",
+        ["3,0,10.0,7.113257971544822e-58,4.5",
+         "1,3,1.9,-5.317006333184286,2.771185611574227",
+         "0,3,7.4137439645625705,2.0433689856986554e-187,2.00001",
+         "3,2,-1.7976931348623155e+308,-0.0,0.5",
+         "0,2,-1.1754943508222875e-38,3.423714779284264,5.96e-08"], []),
+    "inf jacobian reached the factor": (
+        "g,h,y,x1,x2",
+        ["0,0,4.0,1.0,3.0", "0,1,1.0,-12413386208.357344,3.0"],
+        ["--tau", "0.9999999999999999", "--bandwidth", "5e-324", "--crve", "ci"]),
+    "nan jacobian reached eigvalsh": (
+        "g,h,y,x1,x2,x3",
+        ["0,0,0.3174862793025328,1.0,0.3805848463518137,2.0",
+         "0,1,3.0,1.0,1.0,1.0",
+         "0,2,-0.1278844974917028,1.0,0.8370068493604125,-1.0292318007195802"],
+        ["--tau", "0.9999999999999999", "--bandwidth", "1e-320", "--crve", "ci"]),
+    "perfect fit, jacobian overflow": (
+        "g,h,y,x1,x2",
+        grid_rows(lambda g, h: (1 + (7 * g + 3 * h) % 5, 1, (7 * g + 3 * h) % 5)),
+        ["--bandwidth", "1e-320"]),
+    "one regressor, jacobian overflow": (
+        "g,h,y,x1",
+        grid_rows(lambda g, h: ((7 * g + 3 * h) % 5 + 0.5, 1)),
+        ["--bandwidth", "1e-320"]),
+    "bandwidth denominator underflow": (
+        "g,h,y,x1",
+        ["0,0,1.0,1e-8", "0,1,2.0,2e-8", "1,0,-1.0,1e-8", "1,1,0.5,3e-8"],
+        ["--tau", "1e-300"]),
+    "nan duality gap, json": ("g,h,y,x1,x2,x3", NAN_GAP, ["--tau", "1e-300"]),
+    "nan duality gap, csv": ("g,h,y,x1,x2,x3", NAN_GAP, ["--tau", "1e-300", "--format", "csv"]),
 }
 
 
-@pytest.mark.parametrize("rows", EXTREME_FITS.values(), ids=EXTREME_FITS)
-def test_fit_extreme_unconverged_design_is_a_numeric_error(tmp_path, capsys, rows):
+@pytest.mark.parametrize("header, rows, flags", EXTREME_FITS.values(), ids=EXTREME_FITS)
+def test_fit_extreme_unconverged_design_is_a_numeric_error(tmp_path, capsys, header, rows, flags):
     # under the suite's filters a RuntimeWarning would raise
     path = tmp_path / "extreme.csv"
-    path.write_text("\n".join(["g,h,y,x1,x2", *rows]) + "\n", encoding="utf-8")
-    assert main(["fit", str(path)]) == 3
+    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    assert main(["fit", str(path), *flags]) == 3
     out, err = capsys.readouterr()
-    assert out == "" and len(err.splitlines()) == 1, err
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: "), err
 
 
 def test_fit_zero_kernel_hits_is_a_numeric_error(tmp_path, capsys):
@@ -261,6 +310,31 @@ def test_fit_zero_kernel_hits_is_a_numeric_error(tmp_path, capsys):
     assert main(["fit", str(path), "--bandwidth", "1e-300"]) == 3
     out, err = capsys.readouterr()
     assert out == "" and "SingularJacobian" in err
+
+
+NUMERIC_ERRORS = {name for name, cls in vars(errors).items()
+                  if isinstance(cls, type) and issubclass(cls, errors.NumericError)}
+
+
+@pytest.mark.parametrize("kind", [kind.value for kind in CrveKind])
+@pytest.mark.parametrize("G, H", [(2, 2), (2, 7), (1, 5), (1, 1)])
+def test_fit_with_one_or_two_clusters_exits_0_or_3(tmp_path, capsys, G, H, kind):
+    # too few clusters for an estimator, a singular Jacobian or a zero
+    # standard error are numeric errors, never a traceback
+    path = tmp_path / "small.csv"
+    for d in (1, 2, 4):
+        for seed in range(3):
+            write_csv(random_panel(np.random.default_rng(seed), G, H, d), path)
+            code = main(["fit", str(path), "--crve", kind])
+            out, err = capsys.readouterr()
+            if code == 0:
+                assert kind in json.loads(out)["methods"]
+                continue
+            assert code == 3 and out == "", err
+            [line] = err.splitlines()
+            assert line.startswith("error: ") and line.split(":")[1].strip() in NUMERIC_ERRORS
+            if G * H == 1 and d == 1:  # one cell has no residual scale
+                assert line.startswith("error: DegenerateScale: need at least 2 cells")
 
 
 def test_fit_usage_errors(tmp_path, capsys):
@@ -284,6 +358,10 @@ def test_fit_usage_errors(tmp_path, capsys):
     # and so is --tau
     assert main(["fit", str(tmp_path / "missing.csv"), "--tau", "1.5"]) == 2
     assert capsys.readouterr().err.splitlines()[-1].startswith("error: InvalidTau")
+    # --x-cols that names no column
+    assert main(["fit", str(path), "--x-cols", ","]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: InputError: schema must name at least one x column"]
 
 
 def test_fit_short_row_is_an_input_error(tmp_path, capsys):
@@ -352,16 +430,34 @@ _CSV_ROWS = st.one_of(
 )
 
 
+# the extreme levels and subnormal or huge bandwidths reach the Jacobian's
+# factor and the bandwidth formula's underflow
+_TAU = st.one_of(st.sampled_from([0.5, 1e-300, 1.0 - 2.0**-53]),
+                 st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+_BANDWIDTH = st.sampled_from([None, 5e-324, 1e-320, 1e-300, 1e300, 1.7e308])
+
+
+def _no_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
 # derandomized: the same files every run, so the suite stays deterministic
 @settings(max_examples=60, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(rows=_CSV_ROWS)
-def test_fit_on_arbitrary_csv_exits_0_2_or_3(tmp_path, rows):
+@given(rows=_CSV_ROWS, tau=_TAU, bandwidth=_BANDWIDTH)
+def test_fit_on_arbitrary_csv_exits_0_2_or_3(tmp_path, capsys, rows, tau, bandwidth):
     # under the suite's filters a RuntimeWarning would raise, so this also
     # checks that no warning escapes
     path = tmp_path / "fuzz.csv"
     path.write_bytes(b"\n".join([b"g,h,y,x1,x2", *rows]) + b"\n")
-    assert main(["fit", str(path)]) in (0, 2, 3)
+    flags = ["--tau", repr(tau)]
+    if bandwidth is not None:
+        flags += ["--bandwidth", repr(bandwidth)]
+    capsys.readouterr()
+    code = main(["fit", str(path), *flags])
+    assert code in (0, 2, 3)
+    if code == 0:  # strict JSON: no NaN or Infinity
+        json.loads(capsys.readouterr().out, parse_constant=_no_constant)
 
 
 def test_simulate_single_rep_smoke(tmp_path, capsys):
@@ -441,6 +537,15 @@ def test_simulate_input_errors(tmp_path, capsys):
     unknown_key.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["simulate", str(unknown_key)]) == 2
     capsys.readouterr()
+    # a document or a grid entry that is not an object, and an empty grid
+    for bad, message in (([], "config document must be a JSON object"),
+                         ({**doc, "grid": [[]]}, "each grid entry must be a JSON object"),
+                         ({**doc, "grid": []}, "'grid' must be a non-empty list")):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad), encoding="utf-8")
+        assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: InvalidConfig: {message}")
+    assert not (tmp_path / "out").exists()
 
 
 SCHEMA_VIOLATIONS = {

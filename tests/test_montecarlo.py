@@ -110,6 +110,8 @@ def test_config_from_json_rejects_bad_documents():
     bad_weights["weights"] = {"wWx": 1.0, "bogus": 2.0}
     with pytest.raises(InvalidConfig):
         config_from_json(bad_weights)
+    with pytest.raises(InvalidConfig, match="must be a JSON object"):
+        config_from_json([])
 
 
 # each violates a rule of docs/schemas/simulate_config.schema.json
@@ -292,6 +294,18 @@ def test_replication_outcome_codes_each_failure_class(monkeypatch, stage, replac
     row = mc._replication_outcome(cfg, 0)
     assert row.dtype == np.int8
     assert row.tolist() == [code] * len(cfg.methods)
+
+
+@pytest.mark.parametrize("tau", [0.05, 0.5, 0.95])
+def test_replication_outcome_with_two_row_clusters(tau):
+    # G = 2 leaves one-way row clustering two clusters; every outcome is
+    # still a test or a failure code
+    codes = {0, 1} | {int(code) for code in mc.FailureCode}
+    for G, H, d in ((2, 2, 2), (2, 10, 3), (2, 50, 5)):
+        cfg = small_config(G=G, H=H, d=d, tau=tau)
+        for rep in range(5):
+            row = mc._replication_outcome(cfg, rep)
+            assert row.dtype == np.int8 and set(row.tolist()) <= codes
 
 
 def test_failure_in_one_method_codes_only_its_column(monkeypatch):
@@ -506,6 +520,16 @@ def test_blas_controls_are_found_once_per_process(monkeypatch):
     monkeypatch.setattr(mc.ctypes, "CDLL", no_search)
     with mc._one_blas_thread():
         assert mc._openblas_thread_controls() is controls
+
+    # a search without /proc/self/maps, or whose libraries do not load, finds none
+    def unloadable(*args, **kwargs):
+        raise OSError("no such file")
+
+    monkeypatch.setattr(mc.ctypes, "CDLL", unloadable)
+    monkeypatch.delattr(mc, "open")
+    assert mc._openblas_thread_controls.__wrapped__() == ()
+    monkeypatch.setattr(mc, "open", unloadable, raising=False)
+    assert mc._openblas_thread_controls.__wrapped__() == ()
 
 
 @pytest.mark.parametrize("n_jobs", [0, -3, True, 2.5, "2"])
@@ -774,6 +798,9 @@ def test_demo_validation():
             nongaussian_demo(G=40, H=40, c=c, reps=600, seed=0)
     with pytest.raises(InvalidConfig):
         nongaussian_demo(G=40, H=40, c=0.0, reps=600, seed=-1)
+    for G, H in ((1, 40), (40, 1)):
+        with pytest.raises(InvalidConfig, match=r"^G and H must be >= 2"):
+            nongaussian_demo(G=G, H=H, c=0.0, reps=600, seed=0)
     # the design-number rule of MonteCarloConfig: bools and strings are not
     # numbers, and an integer takes 10.0 but not 10.5
     args = dict(G=10, H=10, c=0.0, reps=500, seed=4)

@@ -142,6 +142,9 @@ def test_round_trip_preserves_cells(tmp_path):
     path2 = tmp_path / "out2.csv"
     write_csv(panel, path2)
     assert path.read_bytes() == path2.read_bytes()
+    # a schema must name one column per regressor
+    with pytest.raises(DimensionMismatch):
+        write_csv(panel, tmp_path / "out3.csv", {"g": "g", "h": "h", "y": "y", "x": ["x1"]})
 
 
 def test_constructor_rejects_bad_shapes_and_values():
@@ -155,6 +158,11 @@ def test_constructor_rejects_bad_shapes_and_values():
     with pytest.raises(InputError):
         PanelArray(G=1, H=2, g_idx=[0, 0, 1, 1], h_idx=[0, 1, 0, 1],
                    y=ones, x=np.ones((4, 1)))
+    with pytest.raises(InputError, match="h_idx out of range"):
+        PanelArray(G=2, H=2, g_idx=[0, 0, 1, 1], h_idx=[0, 1, 0, 2],
+                   y=ones, x=np.ones((4, 1)))
+    with pytest.raises(InputError, match="no cells"):
+        PanelArray(G=1, H=1, g_idx=[], h_idx=[], y=[], x=np.ones((0, 1)))
     with pytest.raises(DuplicateCell):
         PanelArray(G=2, H=2, g_idx=[0, 0, 0, 1], h_idx=[0, 1, 1, 1],
                    y=ones, x=np.ones((4, 1)))
