@@ -493,18 +493,27 @@ def _one_blas_thread():
             set_(n)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: the size of its affinity mask where
+    the platform has one (``taskset -c 0`` makes it 1), else the machine's
+    count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _replicate(rep_fn, args: tuple, reps: int, n_jobs: int) -> list:
     """``rep_fn(*args, rep)`` for each of ``reps`` replications, in order.
 
     Every OpenBLAS runs one thread. With ``min(n_jobs, reps, CPUs)`` workers
-    above one, the replications are cut into contiguous chunks of
-    ceil(reps / workers) that run in processes forked from this one, and
-    ``starmap`` returns the rows in replication order. The pool sends
-    ``rep_fn`` by name, so it must be a module-level function. Where
-    ``fork`` is unavailable the run is serial.
+    above one, CPUs being ``_usable_cpus()``, the replications are cut into
+    contiguous chunks of ceil(reps / workers) that run in processes forked
+    from this one, and ``starmap`` returns the rows in replication order.
+    The pool sends ``rep_fn`` by name, so it must be a module-level
+    function. Where ``fork`` is unavailable the run is serial.
     """
     jobs = [(*args, rep) for rep in range(reps)]
-    workers = min(n_jobs, reps, os.cpu_count() or 1)
+    workers = min(n_jobs, reps, _usable_cpus())
     with _one_blas_thread():
         if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
             return [rep_fn(*job) for job in jobs]

@@ -264,12 +264,14 @@ class _LabelIndex(dict):
 def _load_columns(path, pos: dict, columns: list):
     """Column-wise reader for well-formed files: numpy's C reader.
 
-    Returns the g and h indices, y, x and the g and h labels. A converter
-    maps each g and h field through a ``_LabelIndex`` as it is read, so
-    every label, integer, text or not ASCII, follows the row-wise rule in
-    one pass. numpy converts only the first use of a file column, so g and
-    h in one column are left to the row-wise pass, as is any field that
-    numpy does not parse (ValueError).
+    Returns the g and h indices, y, x and the g and h labels. The first
+    four are C-contiguous copies, the layout ``PanelArray`` keeps, so the
+    record array of d + 3 columns dies on return, before the panel's
+    checks run. A converter maps each g and h field through a
+    ``_LabelIndex`` as it is read, so every label, integer, text or not
+    ASCII, follows the row-wise rule in one pass. numpy converts only the
+    first use of a file column, so g and h in one column are left to the
+    row-wise pass, as is any field that numpy does not parse (ValueError).
     """
     g_col, h_col = columns[:2]
     if pos[g_col] == pos[h_col]:
@@ -285,7 +287,8 @@ def _load_columns(path, pos: dict, columns: list):
                                  converters={pos[g_col]: g.__getitem__,
                                              pos[h_col]: h.__getitem__},
                                  delimiter=",", quotechar='"', comments=None, ndmin=1)
-    return (records["g"], records["h"], records[values[0]],
+    return (np.ascontiguousarray(records["g"]), np.ascontiguousarray(records["h"]),
+            np.ascontiguousarray(records[values[0]]),
             np.column_stack([records[v] for v in values[1:]]), tuple(g.labels), tuple(h.labels))
 
 

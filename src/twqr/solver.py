@@ -22,8 +22,9 @@ An iteration allocates one n-vector, the residual that the best iterate may
 keep. Its other vectors and the weighted design are buffers made once per
 fit and filled through the ufuncs' output argument, in the order and on the
 operands of the plain array expressions named in the comments, so every
-element rounds as it would with one fresh array per operation. The
-fraction-to-boundary steps are branch-free: the primal ratio is
+element rounds as it would with one fresh array per operation. The design
+shares one block with seven scratch vectors, which are dead while it lives.
+The fraction-to-boundary steps are branch-free: the primal ratio is
 ``max(a / -d_a, s / d_a)`` rather than a select on the sign of ``d_a``.
 """
 
@@ -155,15 +156,19 @@ def _interior_point(x, y, tau, gap_tol, max_iter):
     (a keyword is parsed anew in each of the hundred-odd calls of an
     iteration) except to np.maximum, where numpy 2.4 deprecates that. Each
     chain's comment names the array expression it computes, operation for
-    operation, so every element rounds as that expression does. The iterates a, s, z, w are updated in place. ``u``
-    and ``-lam`` are fresh arrays, since the best iterate keeps them.
+    operation, so every element rounds as that expression does. The
+    iterates a, s, z, w are updated in place. ``u`` and ``-lam`` are fresh
+    arrays, since the best iterate keeps them.
 
-    The buffers are nine n-vectors and the n-by-d weighted design ``xq``:
-    ``r_d``, ``qinv``, ``d_a``, ``d_z``, ``d_w``, ``rc1``, ``rc2`` and the
-    scratch ``t1`` and ``t2``. ``xl`` and ``rhs_n`` live in ``t2``, since
-    ``xl`` is dead once ``r_d`` is formed and ``rhs_n`` once ``d_a`` is. The
-    start's residual is not kept; a fit whose every objective is inf or NaN
-    recomputes it.
+    The buffers are ``r_d``, ``qinv`` and one C-ordered block of max(d, 7)
+    rows of n. The block's first seven rows are ``d_a``, ``d_z``, ``d_w``,
+    ``rc1``, ``rc2`` and the scratch ``t1`` and ``t2``; its first n * d
+    elements are the n-by-d weighted design ``xq``. ``xq`` lives only from
+    the product that fills it to the Gram product, a span in which none of
+    the seven holds a live value. ``xl`` and ``rhs_n`` live in ``t2``,
+    since ``xl`` is dead once ``r_d`` is formed and ``rhs_n`` once ``d_a``
+    is. The start's residual is not kept; a fit whose every objective is
+    inf or NaN recomputes it.
     """
     n, d = x.shape
     xt1 = x.sum(axis=0)
@@ -183,9 +188,11 @@ def _interior_point(x, y, tau, gap_tol, max_iter):
     a = np.full(n, 1.0 - tau)
     s = np.full(n, tau)
 
-    r_d, qinv, d_a, d_z, d_w, rc1, rc2, t1, t2 = (np.empty(n) for _ in range(9))
+    r_d, qinv = np.empty(n), np.empty(n)
+    block = np.empty((max(d, 7), n))
+    d_a, d_z, d_w, rc1, rc2, t1, t2 = block[:7]
+    xq = block.reshape(-1)[:n * d].reshape(n, d)
     xl = rhs_n = t2
-    xq = np.empty((n, d))
 
     def certified(xl, a_vec):
         u = y + xl  # y - x @ beta with beta = -lam, bit for bit

@@ -1,5 +1,7 @@
 """Builders and references shared across the test modules."""
 
+import tracemalloc
+
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
@@ -22,6 +24,19 @@ def reference_stream(seed, *key):
     ``montecarlo``'s key schedule must reproduce its key and its draws."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and tracemalloc's peak during the call above what was
+    traced when it began, in bytes."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak - base
 
 
 def random_panel(rng, G, H, d, noise=1.0):

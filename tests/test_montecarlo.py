@@ -349,13 +349,18 @@ needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_meth
                                 reason="the worker pool forks")
 
 
+def _allow_cpus(monkeypatch, cpus):
+    """Make ``cpus`` CPUs the ones this process may run on."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
 def _planned_chunks(monkeypatch, reps, n_jobs, cpus):
     """Worker count and ``[lo, hi)`` chunks ``_replicate`` hands its pool.
 
     The pool is a stand-in that records its size and cuts the job list the
     way ``multiprocessing.pool.Pool`` does, then runs the chunks in order.
     """
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    _allow_cpus(monkeypatch, cpus)
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork"])
     plan = []
 
@@ -419,7 +424,7 @@ def test_pool_outcome_rows_equal_serial(monkeypatch, n_jobs):
              (mc._interaction_estimate, (9, 7, 0.6, 3), np.float64)]
     serial = [np.array(mc._replicate(fn, args, 7, 1)) for fn, args, _ in cases]
     assert serial[0].shape == (7, len(cfg.methods)) and not np.isnan(serial[1]).any()
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    _allow_cpus(monkeypatch, 8)
     pool_sizes = []
     real_get_context = multiprocessing.get_context
 
@@ -454,6 +459,28 @@ def test_no_fork_start_method_runs_serially(monkeypatch):
     assert report_to_json(rejection_experiment(cfg, n_jobs=2)) == report_to_json(serial)
 
 
+def test_one_cpu_affinity_runs_serially(monkeypatch):
+    # the machine may have many CPUs; the process may run on one
+    cfg = small_config(reps=7)
+    serial = rejection_experiment(cfg, n_jobs=1)
+
+    def no_pool(method):
+        raise AssertionError(f"a {method} pool was started")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    _allow_cpus(monkeypatch, 1)
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    assert report_to_json(rejection_experiment(cfg, n_jobs=2)) == report_to_json(serial)
+
+
+def test_cpu_count_caps_workers_without_an_affinity_mask(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert mc._usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert mc._usable_cpus() == 1
+
+
 @needs_fork
 def test_worker_exception_propagates_and_pool_is_reaped(monkeypatch):
     real = mc.generate_dgp
@@ -465,7 +492,7 @@ def test_worker_exception_propagates_and_pool_is_reaped(monkeypatch):
 
     # the workers are forked, so they call the patched module attribute
     monkeypatch.setattr(mc, "generate_dgp", failing)
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    _allow_cpus(monkeypatch, 8)
     with pytest.raises(ValueError, match="replication 5"):
         rejection_experiment(small_config(reps=7), n_jobs=2)
     assert multiprocessing.active_children() == []
@@ -486,7 +513,7 @@ def test_replications_run_with_one_blas_thread(monkeypatch):
         return real(config, rep)
 
     monkeypatch.setattr(mc, "generate_dgp", checked)
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    _allow_cpus(monkeypatch, 8)
     for n_jobs in (1, 2):
         rejection_experiment(small_config(reps=4), n_jobs=n_jobs)
         assert [get() for get, _ in controls] == before

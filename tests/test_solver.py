@@ -1,11 +1,10 @@
 """Tests for the check-loss objective, the interior-point fit, and scores."""
 
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import sparse
@@ -17,6 +16,7 @@ from helpers import (
     reference_dual_step,
     reference_interior_point,
     reference_primal_step,
+    traced_peak,
 )
 
 from twqr.errors import DimensionMismatch, InvalidTau, RankDeficient
@@ -339,8 +339,8 @@ def _missing_panel(seed):
                       y=full.y[keep], x=full.x[keep])
 
 
-def _acceptance_panel(G):
-    cfg = MonteCarloConfig(G=G, H=G, d=10, tau=0.5, reps=1, seed=101,
+def _acceptance_panel(G, d=10):
+    cfg = MonteCarloConfig(G=G, H=G, d=d, tau=0.5, reps=1, seed=101,
                            weights=DgpWeights(1.0, 1.0, 1.0, 1.0, 1.0, 1.0))
     return generate_dgp(cfg, 0)
 
@@ -369,10 +369,14 @@ def assert_matches_reference(x, y, tau, max_iter=DEFAULT_MAX_ITER):
     lambda: _acceptance_panel(12), lambda: _acceptance_panel(50),
     lambda: _demo_panel(20, 3), lambda: _demo_panel(100, 4),
     lambda: _missing_panel(5), lambda: _missing_panel(6),
+    lambda: _acceptance_panel(13, 7), lambda: _acceptance_panel(15, 16),
 ], ids=["acceptance_12", "acceptance_50", "demo_20", "demo_100",
-        "missing_a", "missing_b"])
+        "missing_a", "missing_b", "d7_13", "d16_15"])
 @pytest.mark.parametrize("tau", [0.05, 0.1, 0.5, 0.9, 0.95])
 def test_interior_point_matches_reference_bit_for_bit(make_panel, tau):
+    # d = 1 and 3 keep the weighted design inside the block's seven scratch
+    # rows, d = 7 fills them exactly, and d = 10 and 16 extend the block;
+    # n = 169 and 225 start every other row off a 16-byte boundary
     panel = make_panel()
     for max_iter in (0, 1, 2, DEFAULT_MAX_ITER):
         assert_matches_reference(panel.x, panel.y, tau, max_iter)
@@ -395,19 +399,24 @@ def test_fit_on_overflowing_design_raises_no_warning():
     assert not fit.solver.converged
 
 
-def test_fit_working_set():
-    """tracemalloc's peak of fit_qr at G=H=200, d=10, in n-vectors of
-    float64: x q (10), nine buffers, a, s, z, w and two residuals read 25.06."""
-    panel = _acceptance_panel(200)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        fit = fit_qr(panel, 0.5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def fit_working_set(d):
+    """tracemalloc's peak of fit_qr at G=H=200, in n-vectors of float64."""
+    panel = _acceptance_panel(200, d)
+    fit, peak = traced_peak(fit_qr, panel, 0.5)
     assert fit.solver.converged
-    assert (peak - base) / (8 * panel.n) <= 25.06 + 1
+    return peak / (8 * panel.n)
+
+
+def test_fit_working_set():
+    """The block of max(d, 7) = 10 rows that holds x q and seven scratch
+    vectors, r_d, qinv, a, s, z, w and two residuals read 18.06 (25.06 with
+    x q apart from the scratch)."""
+    assert fit_working_set(10) <= 18.06 + 1
+
+
+def test_fit_working_set_with_fewer_regressors_than_scratch_vectors():
+    """At d = 3 the block has seven rows: 15.05 (18.04 with x q apart)."""
+    assert fit_working_set(3) <= 15.05 + 1
 
 
 # --- the exact one-regressor path (d = 1) ---
@@ -553,6 +562,65 @@ def test_one_regressor_regressor_scale_equivariance(case, a):
     got = _fit_one(a * x, y, tau)
     _assert_equivariant(got, (beta / a, obj), (abs(beta / a), _obj_scale(x, y, beta)),
                         unique)
+
+
+# --- Koenker-Bassett equivariance at d >= 2, where the interior point runs ---
+
+@st.composite
+def _multi_regressor_cases(draw):
+    """A seed-drawn problem at d = 2 to 4 with an intercept, and tau in
+    [0.5, 0.98], so that 1 - tau is exact. Gaussian data have a unique
+    minimiser almost surely; small integers often have a flat one."""
+    d = draw(st.integers(2, 4))
+    n = draw(st.integers(d + 1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        x = np.column_stack([np.ones(n), rng.standard_normal((n, d - 1))])
+        y = x.sum(axis=1) + rng.standard_normal(n)
+    else:
+        x = np.column_stack([np.ones(n), rng.integers(-2, 4, (n, d - 1))]).astype(float)
+        y = rng.integers(-4, 5, n).astype(float)
+    assume(np.linalg.matrix_rank(x) == d)
+    return x, y, draw(st.floats(0.5, 0.98))
+
+
+def _fit_many(x, y, tau):
+    """A fit whose gap certifies its objective, converged or not: a few
+    small integer problems end early on an indefinite normal matrix."""
+    fit = fit_qr(grid_panel(1, len(y), x, y), tau)
+    assert np.isfinite(fit.solver.duality_gap)
+    return fit
+
+
+def _assert_same_optimum(fit, other, c, y_abs):
+    """``fit`` and ``c`` times ``other`` solve one problem, so each objective
+    lies above the common optimum by at most its certified gap and the two
+    differ by at most the sum of the gaps. The allowance for rounding in
+    the objectives and dual values is relative to the sum of |y| and of
+    both fits' |residuals|, scaled alike."""
+    (o1, g1), (o2, g2) = ((f.objective, f.solver.duality_gap) for f in (fit, other))
+    scale = y_abs + np.abs(fit.residuals).sum() + c * np.abs(other.residuals).sum()
+    assert abs(o1 - c * o2) <= g1 + c * g2 + 1e-12 * scale, (o1, c * o2, g1, c * g2)
+
+
+# derandomized, as the CLI fuzz is: the same problems every run
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_multi_regressor_cases(), sign=st.sampled_from([1.0, -1.0]))
+def test_sign_flip_equivariance(case, sign):
+    # the fit of -y at tau against that of y at 1 - tau, for y and -y alike
+    x, y, tau = case
+    y = sign * y
+    _assert_same_optimum(_fit_many(x, -y, tau), _fit_many(x, y, 1.0 - tau), 1.0,
+                         2 * np.abs(y).sum())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_multi_regressor_cases(), k=st.integers(-4, 4))
+def test_response_power_of_two_scale_equivariance(case, k):
+    x, y, tau = case
+    c = 2.0 ** k  # exact: c * y rounds nothing
+    _assert_same_optimum(_fit_many(x, c * y, tau), _fit_many(x, y, tau), c,
+                         2 * c * np.abs(y).sum())
 
 
 def test_one_regressor_all_zero_column_is_rank_deficient():

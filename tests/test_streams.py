@@ -10,12 +10,11 @@ how streams are keyed.
 import dataclasses
 import hashlib
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import reference_stream
+from helpers import reference_stream, traced_peak
 
 import twqr.montecarlo as mc
 from twqr.errors import DimensionMismatch, InputError, InvalidConfig
@@ -105,12 +104,7 @@ def test_dgp_draws_the_slopes_into_x():
     cfg = MonteCarloConfig(G=200, H=200, d=10, tau=0.5, weights=DgpWeights(1, 1, 1, 1, 1, 1),
                            reps=1, seed=3)
     generate_dgp(cfg, 0)  # keys the block outside the measurement
-    tracemalloc.start()
-    try:
-        generate_dgp(cfg, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(generate_dgp, cfg, 1)
     # x is ten n-vectors and peaks at 15.28 with the draws and y; slopes
     # drawn apart and then copied into x took nine more
     assert peak / (8 * 200 * 200) < 15.28 + 1
