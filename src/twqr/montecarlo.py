@@ -31,7 +31,6 @@ import math
 import multiprocessing
 import numbers
 import operator
-import os
 from collections.abc import Iterator
 from dataclasses import MISSING, asdict, dataclass, fields
 
@@ -50,7 +49,7 @@ from .errors import (
     ZeroStdError,
 )
 from .jacobian import powell_jacobian, rule_of_thumb_bandwidth
-from .panel import PanelArray
+from .panel import PanelArray, _usable_cpus
 from .solver import _require_tau, fit_qr, score_matrix
 
 __all__ = [
@@ -491,15 +490,6 @@ def _one_blas_thread():
     finally:
         for set_, n in controls:
             set_(n)
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: the size of its affinity mask where
-    the platform has one (``taskset -c 0`` makes it 1), else the machine's
-    count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _replicate(rep_fn, args: tuple, reps: int, n_jobs: int) -> list:

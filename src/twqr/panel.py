@@ -5,13 +5,24 @@ grid. Cells may be missing: every downstream estimator sums over present
 cells only and normalizes by realized counts. Raw cluster labels are mapped
 to dense ``0..G-1`` / ``0..H-1`` indices in first-appearance order, so a
 given file always loads to the same array.
+
+A CSV larger than one range of ``_RANGE_BYTES`` is parsed by byte ranges,
+each ending at a newline, straight into the panel's four arrays, on every
+CPU the process may run on (``_usable_cpus``). The arrays do not depend on
+the worker count.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import functools
 import io
+import itertools
+import mmap
+import multiprocessing
+import os
+import re
 import warnings
 from dataclasses import dataclass, field
 
@@ -219,7 +230,12 @@ def load_csv(path, schema: dict) -> PanelArray:
         regressor column names).
 
     The whole file is parsed before any cell is checked, so a field that
-    does not parse outranks a repeated cell on an earlier row.
+    does not parse outranks a repeated cell on an earlier row. A body that
+    ``_ranges`` cuts into ranges is parsed on ``_usable_cpus()`` workers,
+    forked processes that have all ended when this returns or raises; any
+    other file is parsed by one call of numpy's reader. A field that
+    numpy's reader does not parse, in any range, sends the whole file to
+    the row-wise pass, which reads it or names the row and column at fault.
 
     Raises
     ------
@@ -264,32 +280,205 @@ class _LabelIndex(dict):
 def _load_columns(path, pos: dict, columns: list):
     """Column-wise reader for well-formed files: numpy's C reader.
 
-    Returns the g and h indices, y, x and the g and h labels. The first
-    four are C-contiguous copies, the layout ``PanelArray`` keeps, so the
-    record array of d + 3 columns dies on return, before the panel's
-    checks run. A converter maps each g and h field through a
-    ``_LabelIndex`` as it is read, so every label, integer, text or not
-    ASCII, follows the row-wise rule in one pass. numpy converts only the
-    first use of a file column, so g and h in one column are left to the
-    row-wise pass, as is any field that numpy does not parse (ValueError).
+    Returns the g and h indices, y, x and the g and h labels, the first four
+    in the layout ``PanelArray`` keeps, so it stores them as they are. A
+    converter maps each g and h field through a ``_LabelIndex`` as it is
+    read, so every label, integer, text or not ASCII, follows the row-wise
+    rule in one pass. numpy converts only the first use of a file column, so
+    g and h in one column are left to the row-wise pass, as is any field
+    that numpy does not parse (ValueError).
+
+    A body that ``_ranges`` cuts into several ranges is parsed range by
+    range straight into the four arrays, by ``_load_ranges``. Any other
+    body is parsed by one ``np.loadtxt`` call into a record array of d + 3
+    columns, whose columns are copied out so that it dies on return.
     """
     g_col, h_col = columns[:2]
     if pos[g_col] == pos[h_col]:
         raise ValueError("g and h name one column")
+    ranges = _ranges(path)
+    if ranges is not None:
+        return _load_ranges(path, ranges, pos, columns)
     g, h = _LabelIndex(), _LabelIndex()
-    values = [f"v{j}" for j in range(len(columns) - 2)]  # y, then each x
-    dtype = [("g", np.intp), ("h", np.intp), *((v, np.float64) for v in values)]
     with open(path, newline="", encoding="utf-8-sig") as fh:
         next(csv.reader(fh))  # the header record, which may span lines
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            records = np.loadtxt(fh, dtype=dtype, usecols=[pos[c] for c in columns],
-                                 converters={pos[g_col]: g.__getitem__,
-                                             pos[h_col]: h.__getitem__},
-                                 delimiter=",", quotechar='"', comments=None, ndmin=1)
+        records = _records(fh, pos, columns, g, h)
+    values = records.dtype.names[2:]
     return (np.ascontiguousarray(records["g"]), np.ascontiguousarray(records["h"]),
             np.ascontiguousarray(records[values[0]]),
             np.column_stack([records[v] for v in values[1:]]), tuple(g.labels), tuple(h.labels))
+
+
+def _records(fh, pos: dict, columns: list, g: _LabelIndex, h: _LabelIndex, max_rows=None):
+    """The g and h indices through ``g`` and ``h``, y and each x of the rows
+    of text handle ``fh``, as one record array: numpy's C reader."""
+    values = [f"v{j}" for j in range(len(columns) - 2)]  # y, then each x
+    dtype = [("g", np.intp), ("h", np.intp), *((v, np.float64) for v in values)]
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(fh, dtype=dtype, usecols=[pos[c] for c in columns],
+                          converters={pos[columns[0]]: g.__getitem__,
+                                      pos[columns[1]]: h.__getitem__},
+                          delimiter=",", quotechar='"', comments=None, ndmin=1,
+                          max_rows=max_rows)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: the size of its affinity mask where
+    the platform has one (``taskset -c 0`` makes it 1), else the machine's
+    count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_RANGE_BYTES = 4 << 20  # the body bytes that one np.loadtxt call of _load_ranges reads at most
+
+
+def _ranges(path) -> list[tuple[int, int]] | None:
+    """(byte offset, row count) of each range of the body, or None for one.
+
+    The file is read into one buffer of ``_RANGE_BYTES``; each range is the
+    part of a read that ends at its last newline, and holds at least one
+    row. A body that fits in one range is one range, as is any body where a
+    cut could split a record or miscount its rows: a quote character in the
+    header or body, a carriage return that does not end a line, an empty
+    line (``np.loadtxt`` skips those without counting them towards
+    ``max_rows``) or a line longer than a range.
+    """
+    ranges = []
+    buf = bytearray(_RANGE_BYTES)
+    with open(path, "rb") as fh:
+        size = fh.readinto(buf)
+        start = len(codecs.BOM_UTF8) if buf.startswith(codecs.BOM_UTF8, 0, size) else 0
+        offset = buf.find(b"\n", start, size) + 1  # the first range starts after the header
+        if not offset or not _plain(buf, start, offset):
+            return None
+        while True:
+            fh.seek(offset)
+            size = fh.readinto(buf)
+            last = size < _RANGE_BYTES
+            end = size if last else buf.rfind(b"\n", 0, size) + 1
+            if (not end and not last) or not _plain(buf, 0, end):
+                return None
+            rows = buf.count(b"\n", 0, end)
+            if last and end and buf[end - 1] != ord("\n"):
+                rows += 1  # a last line with no newline
+            if rows:
+                ranges.append((offset, rows))
+            if last:
+                return ranges if len(ranges) > 1 else None
+            offset += end
+
+
+_EMPTY_LINE = re.compile(rb"\n\r?\n")
+
+
+def _plain(buf: bytearray, start: int, end: int) -> bool:
+    """Whether buf[start:end], which starts a line, has no quote character,
+    no carriage return outside a CRLF and no empty line. Each test but
+    the CRLF count is one scan that stops at the first match."""
+    return (buf.find(b'"', start, end) < 0
+            and (buf.find(b"\r", start, end) < 0
+                 or buf.count(b"\r", start, end) == buf.count(b"\r\n", start, end))
+            and not buf.startswith((b"\n", b"\r\n"), start, end)
+            and not _EMPTY_LINE.search(buf, start, end))
+
+
+def _load_ranges(path, ranges: list, pos: dict, columns: list):
+    """``_load_columns`` of a body cut into ``ranges``, parsed on every
+    usable CPU.
+
+    The four arrays are made once, at their final size. The ranges are
+    shared in contiguous groups over ``min(_usable_cpus(), len(ranges))``
+    workers: this process parses the first group and processes forked
+    from it parse the others, all writing their rows in place. With more
+    than one worker the arrays are views of one anonymous shared mmap: g
+    and h, y, then x. Each group maps its labels through its own
+    ``_LabelIndex`` and returns their first-appearance order; the labels
+    are merged in group order, which keeps the file's first-appearance
+    order, and each group's indices are remapped in place. Every worker is
+    joined before this returns or raises; a ValueError in any range is
+    raised here. The workers are forked, not spawned, so that they inherit
+    the block without naming it and start without importing numpy; each
+    runs only numpy's reader.
+    """
+    n = sum(rows for _, rows in ranges)
+    d = len(columns) - 3
+    workers = min(_usable_cpus(), len(ranges))
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        block = mmap.mmap(-1, 8 * n * (d + 3))
+        g_idx, h_idx = (np.frombuffer(block, np.intp, n, 8 * n * k) for k in range(2))
+        y = np.frombuffer(block, np.float64, n, 16 * n)
+        x = np.frombuffer(block, np.float64, n * d, 24 * n).reshape(n, d)
+    else:
+        workers = 1
+        g_idx, h_idx = np.empty(n, np.intp), np.empty(n, np.intp)
+        y, x = np.empty(n), np.empty((n, d))
+    starts = [0, *itertools.accumulate(rows for _, rows in ranges)]  # each range's first row
+    bounds = [len(ranges) * k // workers for k in range(workers + 1)]  # each group's first range
+
+    def parse(group: int):
+        """Parse the ranges of one group; the order of its g and h labels."""
+        g, h = _LabelIndex(), _LabelIndex()
+        for k in range(bounds[group], bounds[group + 1]):
+            offset, rows = ranges[k]
+            with open(path, "rb") as raw:
+                raw.seek(offset)
+                fh = io.TextIOWrapper(raw, encoding="utf-8", newline="")
+                records = _records(fh, pos, columns, g, h, max_rows=rows)
+            if len(records) != rows:
+                raise ValueError(f"range at byte {offset} read {len(records)} of {rows} rows")
+            lo, hi = starts[k], starts[k + 1]
+            g_idx[lo:hi], h_idx[lo:hi] = records["g"], records["h"]
+            y[lo:hi] = records["v0"]
+            for j in range(d):
+                x[lo:hi, j] = records[f"v{j + 1}"]
+            del records  # before the next range's are read
+        return tuple(g.labels), tuple(h.labels)
+
+    def child(group: int, send) -> None:
+        try:
+            send.send(parse(group))
+        except ValueError as exc:  # numpy's errors may not pickle
+            send.send(str(exc))
+
+    children = []
+    try:
+        if workers > 1:
+            context = multiprocessing.get_context("fork")
+            for group in range(1, workers):
+                recv, send = context.Pipe(duplex=False)
+                proc = context.Process(target=child, args=(group, send), daemon=True)
+                proc.start()
+                send.close()
+                children.append((proc, recv))
+        groups = [parse(0)]
+        for proc, recv in children:
+            try:
+                result = recv.recv()
+            except EOFError:  # the worker died before it sent its labels
+                proc.join()
+                raise ChildProcessError(f"range reader exit code {proc.exitcode}") from None
+            if isinstance(result, str):
+                raise ValueError(result)
+            groups.append(result)
+    except BaseException:
+        for proc, _ in children:
+            proc.terminate()
+        raise
+    finally:
+        for proc, recv in children:
+            proc.join()
+            recv.close()
+    g_labels, h_labels = {}, {}
+    for group, local in enumerate(groups):
+        rows = slice(starts[bounds[group]], starts[bounds[group + 1]])
+        for labels, index, idx in zip(local, (g_labels, h_labels), (g_idx, h_idx)):
+            remap = np.array([index.setdefault(label, len(index)) for label in labels], np.intp)
+            # mode="clip" writes out as it goes; "raise" would buffer a copy of it
+            np.take(remap, idx[rows], out=idx[rows], mode="clip")
+    return g_idx, h_idx, y, x, tuple(g_labels), tuple(h_labels)
 
 
 def _load_rows(path, pos: dict, columns: list):

@@ -18,14 +18,14 @@ ratios y_i / x_i: ``fit_qr`` finds it exactly with one sort, reports one
 iteration, returns the midpoint of a flat optimum, and certifies it with the
 same duality gap. ``max_iter = 0`` returns the ``lstsq`` start at any d.
 
-An iteration allocates one n-vector, the residual that the best iterate may
-keep. Its other vectors and the weighted design are buffers made once per
-fit and filled through the ufuncs' output argument, in the order and on the
-operands of the plain array expressions named in the comments, so every
-element rounds as it would with one fresh array per operation. The design
-shares one block with seven scratch vectors, which are dead while it lives.
-The fraction-to-boundary steps are branch-free: the primal ratio is
-``max(a / -d_a, s / d_a)`` rather than a select on the sign of ``d_a``.
+An iteration allocates no n-vector: its vectors and the weighted design
+are buffers made once per fit and filled through the ufuncs' output
+argument, in the order and on the operands of the plain array expressions
+named in the comments, so every element rounds as it would with one fresh
+array per operation. The design shares one block with seven scratch
+vectors, which are dead while it lives. The fraction-to-boundary steps are
+branch-free: the primal ratio is ``max(a / -d_a, s / d_a)`` rather than a
+select on the sign of ``d_a``.
 """
 
 from __future__ import annotations
@@ -157,8 +157,9 @@ def _interior_point(x, y, tau, gap_tol, max_iter):
     iteration) except to np.maximum, where numpy 2.4 deprecates that. Each
     chain's comment names the array expression it computes, operation for
     operation, so every element rounds as that expression does. The
-    iterates a, s, z, w are updated in place. ``u`` and ``-lam`` are fresh
-    arrays, since the best iterate keeps them.
+    iterates a, s, z, w are updated in place; ``lam`` is a fresh d-vector
+    each iteration, so the best iterate is kept as its ``lam`` and its
+    objective alone.
 
     The buffers are ``r_d``, ``qinv`` and one C-ordered block of max(d, 7)
     rows of n. The block's first seven rows are ``d_a``, ``d_z``, ``d_w``,
@@ -167,8 +168,12 @@ def _interior_point(x, y, tau, gap_tol, max_iter):
     the product that fills it to the Gram product, a span in which none of
     the seven holds a live value. ``xl`` and ``rhs_n`` live in ``t2``,
     since ``xl`` is dead once ``r_d`` is formed and ``rhs_n`` once ``d_a``
-    is. The start's residual is not kept; a fit whose every objective is
-    inf or NaN recomputes it.
+    is. Each iteration's residual is written into ``rc1``, which holds no
+    live value from the top of the loop to the predictor, and read only up
+    to the convergence test. The returned residual is one copy of it: a
+    converged fit's own, or an unconverged fit's recomputed into ``rc1``
+    from the best ``lam`` with the same operands. The start's residual is
+    not kept; a fit whose every objective is inf or NaN recomputes it.
     """
     n, d = x.shape
     xt1 = x.sum(axis=0)
@@ -195,12 +200,14 @@ def _interior_point(x, y, tau, gap_tol, max_iter):
     xl = rhs_n = t2
 
     def certified(xl, a_vec):
-        u = y + xl  # y - x @ beta with beta = -lam, bit for bit
+        """Objective and gap of beta = -lam, xl being x @ lam; the
+        residual is left in rc1."""
+        u = np.add(y, xl, rc1)  # y - x @ beta with beta = -lam, bit for bit
         # obj = sum(u * (tau - (u <= 0.0))), the comparison's 0/1 in float
         np.subtract(tau, np.less_equal(u, 0.0, t1), t1)
         obj = float(np.sum(np.multiply(u, t1, t1)))
         dual = float(y @ a_vec) - ysum
-        return u, obj, obj - dual
+        return obj, obj - dual
 
     def solve_direction(factor, r_p):
         """Newton direction for the rc1, rc2 buffers; fills d_a, d_z, d_w."""
@@ -216,21 +223,21 @@ def _interior_point(x, y, tau, gap_tol, max_iter):
         np.divide(np.add(rc2, np.multiply(w, d_a, d_w), d_w), s, d_w)
         return d_lam
 
-    best_beta, best_u, best_obj = beta0, None, np.inf
+    best_lam, best_obj = None, np.inf
     it = 0
     for it in range(1, max_iter + 1):
         # np.dot, not @: matmul skips BLAS when x has a single column
         np.dot(x, lam, xl)
-        u, obj, gap = certified(xl, a)
+        obj, gap = certified(xl, a)
         if obj < best_obj:
-            best_obj, best_beta, best_u = obj, -lam, u
+            best_obj, best_lam = obj, lam
         tol = gap_tol * (1.0 + abs(obj))
         r_p = b_eq - x.T @ a
         # r_d = -y - xl - z + w
         np.add(np.subtract(np.subtract(np.negative(y, r_d), xl, r_d), z, r_d), w, r_d)
         if (gap <= tol and np.abs(r_p).max(initial=0.0) <= tol
                 and np.abs(r_d, t1).max(initial=0.0) <= tol):
-            return -lam, u, obj, it - 1, gap, True
+            return -lam, rc1.copy(), obj, it - 1, gap, True
 
         # qinv = 1.0 / (z / a + w / s)
         np.add(np.divide(z, a, qinv), np.divide(w, s, t1), qinv)
@@ -276,13 +283,14 @@ def _interior_point(x, y, tau, gap_tol, max_iter):
         np.add(z, np.multiply(ad, d_z, t1), z)
         np.add(w, np.multiply(ad, d_w, t1), w)
 
-    u, obj, gap = certified(np.dot(x, lam), a)
+    obj, gap = certified(np.dot(x, lam, xl), a)
     if obj < best_obj:
-        best_obj, best_beta, best_u = obj, -lam, u
-    if best_u is None:  # every objective was inf or nan: report the start's
+        best_obj, best_lam = obj, lam
+    if best_lam is None:  # every objective was inf or nan: report the start's
         best_u = y - x @ beta0
-        best_obj = float(np.sum(best_u * (tau - (best_u <= 0.0))))
-    return best_beta, best_u, best_obj, it, gap, False
+        return beta0, best_u, float(np.sum(best_u * (tau - (best_u <= 0.0)))), it, gap, False
+    certified(np.dot(x, best_lam, xl), a)  # the best iterate's residual, into rc1
+    return -best_lam, rc1.copy(), best_obj, it, gap, False
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")

@@ -1,6 +1,8 @@
 """Shared pytest wiring for the suite."""
 
 import contextlib
+import multiprocessing
+import os
 import warnings
 
 import pytest
@@ -35,3 +37,21 @@ def emit_verdict(request):
         assert ok, line
 
     return emit
+
+
+@pytest.fixture(autouse=True)
+def no_stray_processes():
+    """Fail a test that leaves a child process running or unreaped.
+
+    The zombie check runs first: ``active_children`` reaps the finished
+    children that multiprocessing started, which would hide one that was
+    never joined.
+    """
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        pid = None
+    alive = multiprocessing.active_children()
+    assert pid is None and not alive, (
+        f"child processes left behind: {'unreaped' if pid else 'running'}, {alive}")

@@ -1,13 +1,19 @@
 """Builders and references shared across the test modules."""
 
+import multiprocessing
 import tracemalloc
 
 import numpy as np
+import pytest
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from twqr.errors import RankDeficient
 from twqr.panel import RANK_TOL, PanelArray
 from twqr.solver import _STEP_SHRINK
+
+
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="needs the fork start method")
 
 
 def grid_panel(G, H, x, y):

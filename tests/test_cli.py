@@ -20,6 +20,7 @@ from helpers import grid_panel, random_panel, reference_interior_point
 
 import twqr
 from twqr import cli, errors
+from twqr import panel as panel_module
 from twqr.cli import main
 from twqr.crve import CrveKind, t_test
 from twqr.jacobian import alpha
@@ -140,6 +141,78 @@ def test_fit_custom_columns(tmp_path, capsys):
     assert doc["diagnostics"]["G"] == 3
     assert doc["diagnostics"]["H"] == 2
     assert len(doc["beta_hat"]) == 2
+
+
+# --- invariances of the whole fit, on files read in several ranges ---
+
+ALL_KINDS = [a for kind in CrveKind for a in ("--crve", kind.value)]
+
+
+@pytest.fixture
+def ranged_fit(monkeypatch, capsys):
+    """``twqr fit`` with all five kinds, its JSON parsed, on CSVs cut into
+    ranges of 4 KiB, read on ``cpus`` CPUs."""
+    monkeypatch.setattr(panel_module, "_RANGE_BYTES", 4096)
+
+    def fit(path, *flags, cpus=2):
+        with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                               create=True):
+            assert len(panel_module._ranges(path)) > 4
+            assert main(["fit", str(path), *ALL_KINDS, *flags]) == 0
+        return capsys.readouterr().out
+
+    return fit
+
+
+def test_fit_output_is_identical_on_one_and_two_cpus(tmp_path, ranged_fit):
+    path = panel_csv(tmp_path, G=30, H=20)
+    assert ranged_fit(path, cpus=1) == ranged_fit(path, cpus=2)
+
+
+def test_fit_transposed_labels_swap_cg_and_ch(tmp_path, ranged_fit):
+    path = panel_csv(tmp_path, G=30, H=20)
+    doc = json.loads(ranged_fit(path))
+    swapped = json.loads(ranged_fit(path, "--g-col", "h", "--h-col", "g", "--x-cols", "x1,x2,x3"))
+    for kind in ("ctw", "ci", "ctw2"):
+        assert swapped["methods"][kind] == doc["methods"][kind]
+    assert (swapped["methods"]["cg"], swapped["methods"]["ch"]) == (doc["methods"]["ch"],
+                                                                    doc["methods"]["cg"])
+    assert (swapped["beta_hat"], swapped["bandwidth"]) == (doc["beta_hat"], doc["bandwidth"])
+    diag = dict(doc["diagnostics"], G=doc["diagnostics"]["H"], H=doc["diagnostics"]["G"])
+    assert swapped["diagnostics"] == diag
+
+
+def test_fit_is_invariant_to_row_order_and_labels(tmp_path, ranged_fit):
+    """A row-shuffled copy with other labels gives the same numbers within
+    1e-12 relative; the fit only rounds differently. p-values are left out:
+    at |t| near 6 a relative error e in t moves p by about t^2 e."""
+    cfg = MonteCarloConfig(G=30, H=20, d=5, tau=0.5, reps=1, seed=42,
+                           weights=DgpWeights(1.0, 1.0, 1.0, 1.0, 1.0, 1.0))
+    source = generate_dgp(cfg, 0)
+    order = np.random.default_rng(42).permutation(source.n)
+    shuffled = dataclasses.replace(
+        source, g_idx=source.g_idx[order], h_idx=source.h_idx[order], y=source.y[order],
+        x=source.x[order], g_labels=tuple(f"firm {(7 * g) % 31}" for g in range(30)),
+        h_labels=tuple(2030 - h for h in range(20)))
+    docs = []
+    for name, panel in (("source.csv", source), ("shuffled.csv", shuffled)):
+        write_csv(panel, tmp_path / name)
+        docs.append(json.loads(ranged_fit(tmp_path / name)))
+    doc, other = docs
+
+    def close(a, b):
+        np.testing.assert_allclose(b, a, rtol=1e-12, atol=0.0)
+
+    close(doc["beta_hat"], other["beta_hat"])
+    close(doc["bandwidth"]["value"], other["bandwidth"]["value"])
+    close(doc["diagnostics"]["objective"], other["diagnostics"]["objective"])
+    for key in ("n", "d", "G", "H", "kernel_hits", "converged"):
+        assert other["diagnostics"][key] == doc["diagnostics"][key]
+    for kind, block in doc["methods"].items():
+        close(block["std_errors"], other["methods"][kind]["std_errors"])
+        close(block["t_stats"], other["methods"][kind]["t_stats"])
+        for key in ("clip_count_I", "clip_count_II"):
+            assert other["methods"][kind][key] == block[key]
 
 
 def test_fit_one_regressor_is_solved_exactly(tmp_path, capsys):

@@ -13,7 +13,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.stats import norm as scipy_norm
 
-from helpers import reference_stream
+from helpers import needs_fork, reference_stream
 
 import twqr.montecarlo as mc
 import twqr.panel as panel_mod
@@ -344,10 +344,6 @@ def test_every_failure_code_counts_as_a_failure(monkeypatch):
 
 
 # --- worker pool ---
-
-needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                                reason="the worker pool forks")
-
 
 def _allow_cpus(monkeypatch, cpus):
     """Make ``cpus`` CPUs the ones this process may run on."""

@@ -1,5 +1,7 @@
 """Tests for CSV ingestion, panel containers, and the validation pass."""
 
+import multiprocessing
+import os
 from unittest import mock
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from helpers import grid_panel, traced_peak
+from helpers import grid_panel, needs_fork, traced_peak
 
 from twqr.errors import (
     DimensionMismatch,
@@ -328,6 +330,11 @@ PARITY_FILES = {
                        '"04",7,7.0,8.0\n-0,-2,9.0,1.0\n', True),
     "late_string_label": ("g,h,y,x1\n" + "".join(f"{g},{h},1.0,2.0\n" for g in range(3)
                                                   for h in range(3)) + "3,z,1.0,2.0\n", True),
+    # np.loadtxt skips an empty line and counts a bare carriage return as a
+    # line end, so a range reader that counts newlines must keep these whole
+    "empty_line": ("g,h,y,x1\na,1,1.0,2.0\n\nb,1,3.0,4.0\nc,1,5.0,6.0\n", True),
+    "empty_crlf_line": ("g,h,y,x1\r\na,1,1.0,2.0\r\n\r\nb,1,3.0,4.0\r\nc,1,5.0,6.0\r\n", True),
+    "bare_cr": ("g,h,y,x1\na,1,1,2\rb,1,3,4\nc,1,5,6\nd,1,7,8\n", True),
 }
 
 
@@ -485,9 +492,13 @@ def test_a_label_column_named_again_in_the_schema(tmp_path):
     assert_array_equal(panel.x, [[7.0, 2.0], [8.0, 4.0]])
 
 
-def load_csv_working_set(tmp_path, labels):
+def load_csv_working_set(tmp_path, labels, cpus):
     """tracemalloc's peak of load_csv on a 40,000-row, d=10 file whose
-    labels are labels(i), in n-vectors of float64."""
+    labels are labels(i), read on ``cpus`` CPUs, in n-vectors of float64.
+
+    The file is two ranges. On two CPUs the panel's arrays are one shared
+    mmap block of d + 3 = 13 n-vectors, which tracemalloc does not see, so
+    they are added to its peak."""
     cfg = MonteCarloConfig(G=200, H=200, d=10, tau=0.5, reps=1, seed=101,
                            weights=DgpWeights(1.0, 1.0, 1.0, 1.0, 1.0, 1.0))
     source = generate_dgp(cfg, 0)
@@ -496,24 +507,30 @@ def load_csv_working_set(tmp_path, labels):
                         y=source.y, x=source.x, g_labels=names, h_labels=names)
     path = tmp_path / "p.csv"
     write_csv(source, path)
+    assert len(panel_module._ranges(path)) == 2
     schema = {"g": "g", "h": "h", "y": "y", "x": [f"x{j + 1}" for j in range(10)]}
-    panel, peak = traced_peak(load_csv, path, schema)
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)), create=True):
+        panel, peak = traced_peak(load_csv, path, schema)
     assert panel.y.tobytes() == source.y.tobytes()
     assert panel.g_labels == names
-    return peak / (8 * panel.n)
+    return peak / (8 * panel.n) + (13 if cpus > 1 else 0)
 
 
 def test_load_csv_working_set(tmp_path):
-    """Integer labels read 26.26: the 13-column records and the four
-    columns copied out of them (32.22 while the records lived on through
-    the panel's duplicate-cell check)."""
-    assert load_csv_working_set(tmp_path, int) <= 26.26 + 1
+    """Integer labels. One CPU: the four arrays and one range's records,
+    19.96. Two CPUs: the range scan's 4 MiB read buffer, 13.13, plus the
+    block, though the buffer is freed before the block is made. A single
+    np.loadtxt call over the file read 26.26: the 13-column records and the
+    four columns copied out of them."""
+    assert load_csv_working_set(tmp_path, int, 1) <= 19.96 + 1
+    assert load_csv_working_set(tmp_path, int, 2) <= 26.13 + 1
 
 
 def test_load_csv_working_set_with_string_labels(tmp_path):
-    """String labels read 26.26, as integer ones do: no pass holds one
-    Python string per field."""
-    assert load_csv_working_set(tmp_path, "c{}".format) <= 26.26 + 1
+    """String labels read as integer ones do: no pass holds one Python
+    string per field."""
+    assert load_csv_working_set(tmp_path, "c{}".format, 1) <= 19.96 + 1
+    assert load_csv_working_set(tmp_path, "c{}".format, 2) <= 26.13 + 1
 
 
 labels = st.one_of(st.integers(-3, 30),
@@ -549,3 +566,122 @@ def test_columnar_matches_row_wise_on_written_panels(tmp_path, panel):
     write_csv(panel, path)
     schema = {"g": "g", "h": "h", "y": "y", "x": [f"x{j + 1}" for j in range(panel.d)]}
     assert columnar(path, schema) == row_wise(path, schema)
+
+
+# --- byte-range ingest against the row-wise reference pass ---
+
+# the PARITY_FILES that 16-byte ranges cut into several; each of the others
+# holds a quote, an empty line or a line longer than a range, or one row
+RANGED = {"blank_rows", "crlf", "duplicate_across_blank_row", "duplicate_then_parse_failure",
+          "duplicates_out_of_flat_order", "hash_row_is_data", "late_string_label",
+          "mixed_labels", "nul_in_label", "underscore_numerals", "utf8_bom"}
+
+
+@pytest.fixture(params=[1, pytest.param(2, marks=needs_fork)], ids=["1cpu", "2cpus"])
+def small_ranges(request, monkeypatch):
+    """Bodies cut into ranges of at most 16 bytes, read on request.param CPUs."""
+    monkeypatch.setattr(panel_module, "_RANGE_BYTES", 16)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)),
+                        raising=False)
+    return request.param
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_FILES))
+def test_ranges_match_row_wise(tmp_path, small_ranges, name):
+    text, fast = PARITY_FILES[name]
+    path = tmp_path / "p.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert (panel_module._ranges(path) is not None) == (name in RANGED)
+    assert (columnar(path) if fast else outcome(path)) == row_wise(path)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(panel=small_panels())
+def test_ranges_match_row_wise_on_written_panels(tmp_path, small_ranges, panel):
+    path = tmp_path / "p.csv"
+    write_csv(panel, path)
+    schema = {"g": "g", "h": "h", "y": "y", "x": [f"x{j + 1}" for j in range(panel.d)]}
+    # long enough for most rows of written floats
+    with mock.patch.object(panel_module, "_RANGE_BYTES", 96):
+        assert columnar(path, schema) == row_wise(path, schema)
+
+
+def grid_lines(G, H):
+    """A G-by-H grid's rows, labels first appearing late in the file."""
+    return [f"g{(7 * i) % G},{H - j},{i}.5,{j}.25" for i in range(G) for j in range(H)]
+
+
+def test_ranges_read_late_labels_and_freeze_the_arrays(tmp_path, small_ranges):
+    path = tmp_path / "p.csv"
+    write_lines(path, ["g,h,y,x1", *grid_lines(9, 5)])
+    assert len(panel_module._ranges(path)) > 10
+    assert columnar(path) == row_wise(path)
+    panel = load_csv(path, SCHEMA)
+    assert panel.g_labels == tuple(f"g{(7 * i) % 9}" for i in range(9))
+    assert panel.h_labels == (5, 4, 3, 2, 1)
+    assert not any(a.flags.writeable for a in (panel.g_idx, panel.h_idx, panel.y, panel.x))
+
+
+@pytest.mark.parametrize("bad, where", [("g8,1,3.0", (45, "x1", "")),
+                                        ("g8,1,oops,1.0", (45, "y", "oops"))])
+def test_a_late_ragged_row_or_bad_number_is_a_parse_failure(tmp_path, small_ranges, bad, where):
+    path = tmp_path / "p.csv"
+    write_lines(path, ["g,h,y,x1", *grid_lines(9, 5)[:-1], bad])
+    assert len(panel_module._ranges(path)) > 10
+    with pytest.raises(ParseFailure) as err:
+        load_csv(path, SCHEMA)
+    assert (err.value.row, err.value.column, err.value.value) == where
+    assert outcome(path) == row_wise(path)
+
+
+def test_a_range_that_reads_other_than_its_count_goes_to_the_row_wise_pass(
+        tmp_path, small_ranges, monkeypatch):
+    path = tmp_path / "p.csv"
+    write_lines(path, ["g,h,y,x1", *grid_lines(9, 5)])
+    ranges = panel_module._ranges(path)
+    # the last range claims a row more than the file holds
+    monkeypatch.setattr(panel_module, "_ranges", lambda path: [*ranges[:-1], (
+        ranges[-1][0], ranges[-1][1] + 1)])
+    with mock.patch.object(panel_module, "_load_rows", wraps=panel_module._load_rows) as rows:
+        got = outcome(path)
+    rows.assert_called_once()
+    assert got == row_wise(path)
+
+
+def no_fork(method):
+    raise AssertionError(f"a {method} process was started")
+
+
+def test_one_cpu_or_one_range_reads_without_a_fork(tmp_path, monkeypatch):
+    path = tmp_path / "p.csv"
+    write_lines(path, ["g,h,y,x1", *grid_lines(9, 5)])
+    expected = row_wise(path)
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    assert panel_module._ranges(path) is None
+    assert columnar(path) == expected
+    monkeypatch.setattr(panel_module, "_RANGE_BYTES", 16)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert columnar(path) == expected
+
+
+@needs_fork
+def test_a_range_reader_that_dies_is_an_error_and_is_reaped(tmp_path, monkeypatch):
+    path = tmp_path / "p.csv"
+    write_lines(path, ["g,h,y,x1", *grid_lines(9, 5)])
+    monkeypatch.setattr(panel_module, "_RANGE_BYTES", 16)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    real = panel_module._records
+
+    def dies_in_a_child(fh, *args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(7)
+        return real(fh, *args, **kwargs)
+
+    parent = os.getpid()
+    monkeypatch.setattr(panel_module, "_records", dies_in_a_child)
+    with pytest.raises(ChildProcessError, match="exit code 7"):
+        load_csv(path, SCHEMA)
+    assert multiprocessing.active_children() == []

@@ -409,14 +409,16 @@ def fit_working_set(d):
 
 def test_fit_working_set():
     """The block of max(d, 7) = 10 rows that holds x q and seven scratch
-    vectors, r_d, qinv, a, s, z, w and two residuals read 18.06 (25.06 with
-    x q apart from the scratch)."""
-    assert fit_working_set(10) <= 18.06 + 1
+    vectors, r_d, qinv, a, s, z, w and the returned residual read 17.03
+    (18.06 while the loop allocated each iteration's residual and kept the
+    best one, 25.06 with x q apart from the scratch as well)."""
+    assert fit_working_set(10) <= 17.03 + 1
 
 
 def test_fit_working_set_with_fewer_regressors_than_scratch_vectors():
-    """At d = 3 the block has seven rows: 15.05 (18.04 with x q apart)."""
-    assert fit_working_set(3) <= 15.05 + 1
+    """At d = 3 the block has seven rows: 14.01 (15.05 with a fresh residual
+    per iteration, 18.04 with x q apart as well)."""
+    assert fit_working_set(3) <= 14.01 + 1
 
 
 # --- the exact one-regressor path (d = 1) ---
