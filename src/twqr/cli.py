@@ -18,12 +18,16 @@ import os
 import sys
 from dataclasses import asdict
 
+# The stages after the fit run in montecarlo._infer. Its six stage functions
+# stay imported here only because perfbench/run.py's instrument wraps each
+# stage by name in this module too; tests/test_cli.py checks that they do.
 from .crve import CrveKind, omega_variant, sandwich, t_test
 from .errors import InputError, InvalidConfig, NonFinite, NumericError
 from .jacobian import powell_jacobian, rule_of_thumb_bandwidth
 from .montecarlo import (
     REPORT_COLUMNS,
     _demo_args,
+    _infer,
     _one_blas_thread,
     config_from_json,
     nongaussian_demo,
@@ -94,30 +98,26 @@ def cmd_fit(args: argparse.Namespace) -> int:
     with _one_blas_thread():
         panel = load_csv(args.input, schema)
         fit = fit_qr(panel, args.tau)
-        if args.bandwidth is not None:
-            ell, bw_source = float(args.bandwidth), "override"
-        else:
-            ell, bw_source = rule_of_thumb_bandwidth(panel, fit.residuals, args.tau).ell, "rule_of_thumb"
-        jac = powell_jacobian(panel, fit.residuals, ell)
-        scores = score_matrix(panel, fit.beta_hat, args.tau)
         kinds = list(dict.fromkeys(CrveKind(k) for k in (args.crve or ["ctw"])))
-        methods = {}
-        for kind in kinds:
-            omega = omega_variant(scores, kind)
-            var = sandwich(jac, omega, kind)
-            tests = [t_test(fit, var, j, nulls[j]) for j in range(panel.d)]
-            methods[kind.value] = {
-                "std_errors": [float(v) for v in var.std_errors],
-                "t_stats": [t.t_stat for t in tests],
-                "p_values": [t.p_value for t in tests],
-                "clip_count_I": omega.clip_count_I,
-                "clip_count_II": omega.clip_count_II,
-            }
+        ell, jac, results = _infer(panel, fit, kinds, list(enumerate(nulls)), args.bandwidth)
+    methods = {}
+    for kind in kinds:  # the first kind that failed, in --crve order, is the error
+        if isinstance(results[kind], NumericError):
+            raise results[kind]
+        var, tests = results[kind]
+        methods[kind.value] = {
+            "std_errors": [float(v) for v in var.std_errors],
+            "t_stats": [t.t_stat for t in tests],
+            "p_values": [t.p_value for t in tests],
+            "clip_count_I": var.omega.clip_count_I,
+            "clip_count_II": var.omega.clip_count_II,
+        }
     response = {
         "tau": args.tau,
         "beta_hat": [float(b) for b in fit.beta_hat],
         "null_values": nulls,
-        "bandwidth": {"value": ell, "source": bw_source},
+        "bandwidth": {"value": ell,
+                      "source": "rule_of_thumb" if args.bandwidth is None else "override"},
         "methods": methods,
         "diagnostics": {
             "n": panel.n, "d": panel.d, "G": panel.G, "H": panel.H,

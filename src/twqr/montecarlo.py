@@ -1,7 +1,10 @@
 """Monte Carlo engine for two-way arrays.
 
 Implements the additive latent-factor data generating process, rejection
-frequency experiments across the variance estimator families, an oracle
+frequency experiments across the variance estimator families, the one
+inference sequence after a fit that both a replication and ``twqr fit``
+run (``_infer``: the bandwidth, the Jacobian and the scores, then per
+estimator the meat, the sandwich and the t-tests), an oracle
 for the variance components of the quantile score (outer Monte Carlo
 draws, conditional means in closed form), and a median-regression
 demonstration of the multiplicative interaction regime whose limit is a
@@ -407,6 +410,29 @@ def _failure_code(err: NumericError) -> FailureCode:
     return FailureCode.OTHER_NUMERIC
 
 
+def _infer(panel: PanelArray, fit, kinds, tests, bandwidth: float | None = None):
+    """Inference after a fit, the one stage sequence of ``twqr fit`` and of
+    each size-experiment replication: the bandwidth (the rule of thumb
+    unless ``bandwidth`` is given), the Jacobian and the scores, then per
+    kind the sandwich and the t-test of each (coefficient, null value)
+    pair in ``tests``. Returns the bandwidth, the Jacobian and, per kind,
+    ``(VarianceEstimate, [TestResult])`` or the ``NumericError`` that
+    stopped that kind; an error before the kinds raises.
+    """
+    if bandwidth is None:
+        bandwidth = rule_of_thumb_bandwidth(panel, fit.residuals, fit.tau).ell
+    jac = powell_jacobian(panel, fit.residuals, bandwidth)
+    scores = score_matrix(panel, fit.beta_hat, fit.tau)
+    results = {}
+    for kind in kinds:
+        try:
+            var = sandwich(jac, omega_variant(scores, kind), kind)
+            results[kind] = var, [t_test(fit, var, j, b0) for j, b0 in tests]
+        except NumericError as err:
+            results[kind] = err
+    return bandwidth, jac, results
+
+
 def _replication_outcome(config: MonteCarloConfig, rep: int) -> np.ndarray:
     """Outcome row for one replication: 1 reject, 0 accept, or the
     negative ``FailureCode`` of what stopped that method."""
@@ -417,22 +443,12 @@ def _replication_outcome(config: MonteCarloConfig, rep: int) -> np.ndarray:
         if not fit.solver.converged:
             out[:] = FailureCode.NOT_CONVERGED
             return out
-        bw = rule_of_thumb_bandwidth(panel, fit.residuals, config.tau)
-        jac = powell_jacobian(panel, fit.residuals, bw.ell)
-        scores = score_matrix(panel, fit.beta_hat, config.tau)
+        results = _infer(panel, fit, config.methods, [(config.d - 1, config.null_value)])[2]
     except NumericError as err:
         out[:] = _failure_code(err)
         return out
-    target = config.d - 1
-    for i, kind in enumerate(config.methods):
-        try:
-            omega = omega_variant(scores, kind)
-            var = sandwich(jac, omega, kind)
-            test = t_test(fit, var, target, config.null_value)
-        except NumericError as err:
-            out[i] = _failure_code(err)
-            continue
-        out[i] = 1 if test.p_value < NOMINAL_LEVEL else 0
+    out[:] = [_failure_code(r) if isinstance(r, NumericError) else r[1][0].p_value < NOMINAL_LEVEL
+              for r in results.values()]
     return out
 
 

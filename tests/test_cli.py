@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface and its JSON documents."""
 
+import ast
 import csv
 import dataclasses
 import json
@@ -20,6 +21,7 @@ from helpers import grid_panel, random_panel, reference_interior_point
 
 import twqr
 from twqr import cli, errors
+from twqr import montecarlo as mc
 from twqr import panel as panel_module
 from twqr.cli import main
 from twqr.crve import CrveKind, t_test
@@ -34,7 +36,8 @@ from twqr.montecarlo import (
 from twqr.panel import load_csv, write_csv
 from twqr.solver import DEFAULT_GAP_TOL, DEFAULT_MAX_ITER
 
-SCHEMA_DIR = pathlib.Path(__file__).resolve().parent.parent / "docs" / "schemas"
+REPO = pathlib.Path(__file__).resolve().parent.parent
+SCHEMA_DIR = REPO / "docs" / "schemas"
 
 
 def load_schema(name):
@@ -408,6 +411,69 @@ def test_fit_with_one_or_two_clusters_exits_0_or_3(tmp_path, capsys, G, H, kind)
             assert line.startswith("error: ") and line.split(":")[1].strip() in NUMERIC_ERRORS
             if G * H == 1 and d == 1:  # one cell has no residual scale
                 assert line.startswith("error: DegenerateScale: need at least 2 cells")
+
+
+@pytest.mark.parametrize("order", [["cg", "ctw"], ["ctw", "cg"], ["ci", "cg", "ctw"]])
+def test_fit_raises_the_first_failing_kind_in_crve_order(tmp_path, capsys, order):
+    # G = 1: cg and ctw both fail, each with its own message; ci succeeds
+    messages = {"cg": "error: TooFewClusters: row clustering requires G >= 2",
+                "ctw": "error: TooFewClusters: two-way CRVE requires G >= 2 and H >= 2"}
+    path = tmp_path / "one_row.csv"
+    write_csv(random_panel(np.random.default_rng(0), 1, 5, 2), path)
+    assert main(["fit", str(path), *(f"--crve={kind}" for kind in order)]) == 3
+    out, err = capsys.readouterr()
+    first = next(kind for kind in order if kind in messages)
+    assert out == "" and err.splitlines() == [messages[first]]
+
+
+# (G, H, d, tau, weights, null value, seed, rep): every one converges and
+# has rejections and acceptances between them
+PARITY_REPLICATIONS = [
+    (12, 12, 3, 0.5, (1, 1, 1, 1, 1, 1), 1.0, 41, 1),
+    (12, 12, 3, 0.5, (1, 1, 1, 1, 1, 1), 1.5, 41, 0),
+    (15, 10, 4, 0.75, (0, 0, 1, 0, 0, 1), 1.2, 3, 5),
+    (15, 10, 4, 0.75, (1, 0, 1, 1, 0, 1), 1.0, 3, 0),
+    (10, 15, 2, 0.25, (1, 1, 1, 1, 1, 1), 1.3, 7, 1),
+]
+
+
+def test_fit_and_replication_outcome_reject_alike(tmp_path, capsys):
+    # twqr fit on a replication's panel tests its last coefficient as the
+    # size experiment does: one inference function behind both
+    decisions = set()
+    for G, H, d, tau, weights, null, seed, rep in PARITY_REPLICATIONS:
+        cfg = MonteCarloConfig(G=G, H=H, d=d, tau=tau, weights=DgpWeights(*weights),
+                               reps=1, seed=seed, null_value=null)
+        path = tmp_path / f"rep{seed}_{rep}.csv"
+        write_csv(generate_dgp(cfg, rep), path)
+        kinds = [kind.value for kind in cfg.methods]
+        assert main(["fit", str(path), "--tau", repr(tau), "--null", repr(null),
+                     *(f"--crve={kind}" for kind in kinds)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["diagnostics"]["converged"]
+        fit_row = [int(doc["methods"][kind]["p_values"][d - 1] < 0.05) for kind in kinds]
+        assert fit_row == mc._replication_outcome(cfg, rep).tolist()
+        decisions.update(fit_row)
+    assert decisions == {0, 1}
+
+
+def test_instrumented_stage_names_stay_bound():
+    # perfbench/run.py's instrument wraps these names by getattr in both
+    # modules; a name that is no longer bound would break every traced run
+    tree = ast.parse((REPO / "perfbench" / "run.py").read_text(encoding="utf-8"))
+    [instrument] = [node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "instrument"]
+    wrapped = {"mc": set(), "cli": set()}
+    for call in ast.walk(instrument):
+        if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "wrap":
+            target, name = call.args[0].id, call.args[1].value
+            for module in (wrapped if target == "caller" else [target]):
+                wrapped[module].add(name)
+    stages = {"fit_qr", "score_matrix", "rule_of_thumb_bandwidth", "powell_jacobian",
+              "omega_variant", "sandwich", "t_test"}
+    assert stages <= wrapped["mc"] and stages <= wrapped["cli"]
+    for module, names in ((mc, wrapped["mc"]), (cli, wrapped["cli"])):
+        assert [name for name in sorted(names) if not callable(getattr(module, name, None))] == []
 
 
 def test_fit_usage_errors(tmp_path, capsys):

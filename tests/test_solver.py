@@ -594,14 +594,16 @@ def _fit_many(x, y, tau):
     return fit
 
 
-def _assert_same_optimum(fit, other, c, y_abs):
+def _assert_same_optimum(fit, other, c, data_abs):
     """``fit`` and ``c`` times ``other`` solve one problem, so each objective
     lies above the common optimum by at most its certified gap and the two
-    differ by at most the sum of the gaps. The allowance for rounding in
-    the objectives and dual values is relative to the sum of |y| and of
-    both fits' |residuals|, scaled alike."""
+    differ by at most the sum of the gaps. The allowance for rounding, in
+    the objectives, the dual values and any data the caller computed, is
+    1e-12 of ``data_abs`` (the absolute data values that round, summed by
+    the caller: the |y| of both problems at least) plus both fits'
+    |residuals|, scaled alike."""
     (o1, g1), (o2, g2) = ((f.objective, f.solver.duality_gap) for f in (fit, other))
-    scale = y_abs + np.abs(fit.residuals).sum() + c * np.abs(other.residuals).sum()
+    scale = data_abs + np.abs(fit.residuals).sum() + c * np.abs(other.residuals).sum()
     assert abs(o1 - c * o2) <= g1 + c * g2 + 1e-12 * scale, (o1, c * o2, g1, c * g2)
 
 
@@ -623,6 +625,36 @@ def test_response_power_of_two_scale_equivariance(case, k):
     c = 2.0 ** k  # exact: c * y rounds nothing
     _assert_same_optimum(_fit_many(x, c * y, tau), _fit_many(x, y, tau), c,
                          2 * c * np.abs(y).sum())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_multi_regressor_cases(), g=st.lists(st.floats(-4.0, 4.0), min_size=4, max_size=4))
+def test_regression_shift_equivariance(case, g):
+    # y + Xg has y's optimum, at beta + g. Forming y + Xg rounds each entry
+    # by a few units in the last place of |y| + |X||g|, and the check loss
+    # is 1-Lipschitz in y, so the optima differ by far less than 1e-12 of
+    # the sum of both responses and |X||g|
+    x, y, tau = case
+    g = np.array(g[:x.shape[1]])
+    shifted = y + x @ g
+    _assert_same_optimum(_fit_many(x, shifted, tau), _fit_many(x, y, tau), 1.0,
+                         np.abs(y).sum() + np.abs(shifted).sum() + (np.abs(x) @ np.abs(g)).sum())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_multi_regressor_cases(), seed=st.integers(0, 2**32 - 1))
+def test_design_reparametrization_equivariance(case, seed):
+    # (y, XA) has (y, X)'s optimum, at A^-1 beta. Forming XA rounds: at any
+    # b, (XA)b moves by a few units in the last place of |X||A||b|, so the
+    # allowance adds that sum at each fit's coefficients, mapped to XA's
+    x, y, tau = case
+    d = x.shape[1]
+    a = 2.0 * np.eye(d) + np.random.default_rng(seed).uniform(-1.0, 1.0, (d, d))
+    assume(np.linalg.cond(a) < 100.0)
+    fit, other = _fit_many(x @ a, y, tau), _fit_many(x, y, tau)
+    moved = sum((np.abs(x) @ (np.abs(a) @ np.abs(b))).sum()
+                for b in (fit.beta_hat, np.linalg.solve(a, other.beta_hat)))
+    _assert_same_optimum(fit, other, 1.0, 2 * np.abs(y).sum() + moved)
 
 
 def test_one_regressor_all_zero_column_is_rank_deficient():
