@@ -19,9 +19,9 @@ its key comes from a key schedule that starts from numpy's own pool for the
 seed and mixes the spawn-key words of a block of replications in as uint32
 arrays, and each call site re-keys one Philox per stream instead of
 building a SeedSequence and a generator for each. Both the size experiment
-and the demo run their replications through one map, ``_replicate``: a
-fork pool of contiguous chunks, or a serial loop, with every OpenBLAS at
-one thread.
+and the demo run their replications through one map, ``_replicate``:
+contiguous groups of replications on ``panel._forked``'s processes, with
+every OpenBLAS at one thread.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import ctypes
 import enum
 import functools
 import math
-import multiprocessing
 import numbers
 import operator
 from collections.abc import Iterator
@@ -52,7 +51,7 @@ from .errors import (
     ZeroStdError,
 )
 from .jacobian import powell_jacobian, rule_of_thumb_bandwidth
-from .panel import PanelArray, _usable_cpus
+from .panel import PanelArray, _forked
 from .solver import _require_tau, fit_qr, score_matrix
 
 __all__ = [
@@ -511,23 +510,15 @@ def _one_blas_thread():
 def _replicate(rep_fn, args: tuple, reps: int, n_jobs: int) -> list:
     """``rep_fn(*args, rep)`` for each of ``reps`` replications, in order.
 
-    Every OpenBLAS runs one thread. With ``min(n_jobs, reps, CPUs)`` workers
-    above one, CPUs being ``_usable_cpus()``, the replications are cut into
-    contiguous chunks of ceil(reps / workers) that run in processes forked
-    from this one, and ``starmap`` returns the rows in replication order.
-    The pool sends ``rep_fn`` by name, so it must be a module-level
-    function. Where ``fork`` is unavailable the run is serial.
+    Every OpenBLAS runs one thread. ``panel._forked`` cuts the replications
+    into ``min(n_jobs, reps, CPUs)`` contiguous groups, CPUs being
+    ``panel._usable_cpus()``; this process runs the first and forked ones the
+    others, and the rows come back in replication order.
     """
-    jobs = [(*args, rep) for rep in range(reps)]
-    workers = min(n_jobs, reps, _usable_cpus())
     with _one_blas_thread():
-        if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
-            return [rep_fn(*job) for job in jobs]
-        # fork, not spawn: a spawned worker re-imports numpy, scipy and twqr,
-        # about half a second each, the time of some 40 acceptance-design
-        # replications.
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            return pool.starmap(rep_fn, jobs, chunksize=math.ceil(reps / workers))
+        groups = _forked(lambda lo, hi: [rep_fn(*args, rep) for rep in range(lo, hi)],
+                         reps, n_jobs)
+    return [row for group in groups for row in group]
 
 
 def rejection_experiment(config: MonteCarloConfig, n_jobs: int = 1) -> RejectionReport:

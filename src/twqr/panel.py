@@ -9,7 +9,8 @@ given file always loads to the same array.
 A CSV larger than one range of ``_RANGE_BYTES`` is parsed by byte ranges,
 each ending at a newline, straight into the panel's four arrays, on every
 CPU the process may run on (``_usable_cpus``). The arrays do not depend on
-the worker count.
+the worker count. ``_forked``, which starts those workers, is also the
+Monte Carlo engine's replication map, and the only place twqr forks.
 """
 
 from __future__ import annotations
@@ -231,11 +232,12 @@ def load_csv(path, schema: dict) -> PanelArray:
 
     The whole file is parsed before any cell is checked, so a field that
     does not parse outranks a repeated cell on an earlier row. A body that
-    ``_ranges`` cuts into ranges is parsed on ``_usable_cpus()`` workers,
-    forked processes that have all ended when this returns or raises; any
-    other file is parsed by one call of numpy's reader. A field that
-    numpy's reader does not parse, in any range, sends the whole file to
-    the row-wise pass, which reads it or names the row and column at fault.
+    ``_ranges`` cuts into ranges is parsed in groups of ranges by
+    ``_forked``, on up to ``_usable_cpus()`` processes that have all ended
+    when this returns or raises; any other file is parsed by one call of
+    numpy's reader. A field that numpy's reader does not parse, in any
+    range, sends the whole file to the row-wise pass, which reads it or
+    names the row and column at fault.
 
     Raises
     ------
@@ -332,6 +334,67 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _forked(fn, items: int, jobs: int) -> list:
+    """``fn(lo, hi)`` for each contiguous group ``[lo, hi)`` of
+    ``range(items)``, in group order: the one place twqr starts processes.
+
+    There are ``min(jobs, items, _usable_cpus())`` groups, at least one,
+    and one where ``fork`` is unavailable; group k starts at
+    ``items * k // groups``. This process runs the first group and a
+    process forked from it runs each other one, so ``fn`` is never pickled
+    and may be a closure, but its results are. Fork, not spawn: a spawned
+    worker re-imports numpy, scipy and twqr, about half a second each.
+
+    Every child is joined before this returns or raises. A ValueError in a
+    child is raised here as a ValueError with its message (numpy's errors
+    may not pickle); any other exception, or a child that dies before it
+    sends its result, is a ChildProcessError naming the exception or the
+    exit code.
+    """
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    groups = max(1, min(jobs, items, _usable_cpus())) if fork else 1
+    bounds = [items * k // groups for k in range(groups + 1)]
+
+    def child(group: int, send) -> None:
+        try:
+            reply = None, fn(bounds[group], bounds[group + 1])
+        except ValueError as exc:
+            reply = ValueError(str(exc)), None
+        except Exception as exc:
+            reply = ChildProcessError(f"forked worker raised {type(exc).__name__}: {exc}"), None
+        send.send(reply)
+
+    children = []
+    try:
+        if groups > 1:
+            context = multiprocessing.get_context("fork")
+            for group in range(1, groups):
+                recv, send = context.Pipe(duplex=False)
+                proc = context.Process(target=child, args=(group, send), daemon=True)
+                proc.start()
+                send.close()
+                children.append((proc, recv))
+        results = [fn(bounds[0], bounds[1])]
+        for proc, recv in children:
+            try:
+                error, result = recv.recv()
+            except EOFError:  # the child died before it sent its result
+                proc.join()
+                raise ChildProcessError(f"forked worker exit code {proc.exitcode}") from None
+            if error is not None:
+                raise error
+            results.append(result)
+    except BaseException:
+        for proc, _ in children:
+            proc.terminate()
+        raise
+    finally:
+        for proc, recv in children:
+            proc.join()
+            recv.close()
+    return results
+
+
 _RANGE_BYTES = 4 << 20  # the body bytes that one np.loadtxt call of _load_ranges reads at most
 
 
@@ -386,42 +449,31 @@ def _plain(buf: bytearray, start: int, end: int) -> bool:
 
 
 def _load_ranges(path, ranges: list, pos: dict, columns: list):
-    """``_load_columns`` of a body cut into ``ranges``, parsed on every
-    usable CPU.
+    """``_load_columns`` of a body cut into ``ranges``, parsed by ``_forked``
+    on every usable CPU.
 
-    The four arrays are made once, at their final size. The ranges are
-    shared in contiguous groups over ``min(_usable_cpus(), len(ranges))``
-    workers: this process parses the first group and processes forked
-    from it parse the others, all writing their rows in place. With more
-    than one worker the arrays are views of one anonymous shared mmap: g
-    and h, y, then x. Each group maps its labels through its own
-    ``_LabelIndex`` and returns their first-appearance order; the labels
-    are merged in group order, which keeps the file's first-appearance
-    order, and each group's indices are remapped in place. Every worker is
-    joined before this returns or raises; a ValueError in any range is
-    raised here. The workers are forked, not spawned, so that they inherit
-    the block without naming it and start without importing numpy; each
-    runs only numpy's reader.
+    The four arrays are made once, at their final size, as views of one
+    anonymous shared mmap: g and h, y, then x. Each group of ranges is
+    parsed in place, by this process or a forked one, which inherits the
+    block without naming it and runs only numpy's reader. Each group maps
+    its labels through its own ``_LabelIndex`` and returns their
+    first-appearance order; the labels are merged in group order, which
+    keeps the file's first-appearance order, and each group's indices are
+    remapped in place. A ValueError in any range is raised here.
     """
     n = sum(rows for _, rows in ranges)
     d = len(columns) - 3
-    workers = min(_usable_cpus(), len(ranges))
-    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        block = mmap.mmap(-1, 8 * n * (d + 3))
-        g_idx, h_idx = (np.frombuffer(block, np.intp, n, 8 * n * k) for k in range(2))
-        y = np.frombuffer(block, np.float64, n, 16 * n)
-        x = np.frombuffer(block, np.float64, n * d, 24 * n).reshape(n, d)
-    else:
-        workers = 1
-        g_idx, h_idx = np.empty(n, np.intp), np.empty(n, np.intp)
-        y, x = np.empty(n), np.empty((n, d))
+    block = mmap.mmap(-1, 8 * n * (d + 3))
+    g_idx, h_idx = (np.frombuffer(block, np.intp, n, 8 * n * k) for k in range(2))
+    y = np.frombuffer(block, np.float64, n, 16 * n)
+    x = np.frombuffer(block, np.float64, n * d, 24 * n).reshape(n, d)
     starts = [0, *itertools.accumulate(rows for _, rows in ranges)]  # each range's first row
-    bounds = [len(ranges) * k // workers for k in range(workers + 1)]  # each group's first range
 
-    def parse(group: int):
-        """Parse the ranges of one group; the order of its g and h labels."""
+    def parse(first: int, stop: int):
+        """Parse ranges first..stop-1; their rows and the order of their g
+        and h labels."""
         g, h = _LabelIndex(), _LabelIndex()
-        for k in range(bounds[group], bounds[group + 1]):
+        for k in range(first, stop):
             offset, rows = ranges[k]
             with open(path, "rb") as raw:
                 raw.seek(offset)
@@ -435,45 +487,10 @@ def _load_ranges(path, ranges: list, pos: dict, columns: list):
             for j in range(d):
                 x[lo:hi, j] = records[f"v{j + 1}"]
             del records  # before the next range's are read
-        return tuple(g.labels), tuple(h.labels)
+        return slice(starts[first], starts[stop]), tuple(g.labels), tuple(h.labels)
 
-    def child(group: int, send) -> None:
-        try:
-            send.send(parse(group))
-        except ValueError as exc:  # numpy's errors may not pickle
-            send.send(str(exc))
-
-    children = []
-    try:
-        if workers > 1:
-            context = multiprocessing.get_context("fork")
-            for group in range(1, workers):
-                recv, send = context.Pipe(duplex=False)
-                proc = context.Process(target=child, args=(group, send), daemon=True)
-                proc.start()
-                send.close()
-                children.append((proc, recv))
-        groups = [parse(0)]
-        for proc, recv in children:
-            try:
-                result = recv.recv()
-            except EOFError:  # the worker died before it sent its labels
-                proc.join()
-                raise ChildProcessError(f"range reader exit code {proc.exitcode}") from None
-            if isinstance(result, str):
-                raise ValueError(result)
-            groups.append(result)
-    except BaseException:
-        for proc, _ in children:
-            proc.terminate()
-        raise
-    finally:
-        for proc, recv in children:
-            proc.join()
-            recv.close()
     g_labels, h_labels = {}, {}
-    for group, local in enumerate(groups):
-        rows = slice(starts[bounds[group]], starts[bounds[group + 1]])
+    for rows, *local in _forked(parse, len(ranges), len(ranges)):
         for labels, index, idx in zip(local, (g_labels, h_labels), (g_idx, h_idx)):
             remap = np.array([index.setdefault(label, len(index)) for label in labels], np.intp)
             # mode="clip" writes out as it goes; "raise" would buffer a copy of it

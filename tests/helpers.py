@@ -1,6 +1,7 @@
 """Builders and references shared across the test modules."""
 
 import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,11 @@ from twqr.solver import _STEP_SHRINK
 
 needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                                 reason="needs the fork start method")
+
+
+def allow_cpus(monkeypatch, cpus):
+    """Make ``cpus`` CPUs the ones this process may run on."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
 
 def grid_panel(G, H, x, y):

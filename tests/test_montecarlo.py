@@ -3,7 +3,6 @@
 import dataclasses
 import math
 import multiprocessing
-import multiprocessing.pool
 import os
 import types
 import warnings
@@ -13,7 +12,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.stats import norm as scipy_norm
 
-from helpers import needs_fork, reference_stream
+from helpers import allow_cpus, needs_fork, reference_stream
 
 import twqr.montecarlo as mc
 import twqr.panel as panel_mod
@@ -343,50 +342,56 @@ def test_every_failure_code_counts_as_a_failure(monkeypatch):
         assert report.frequencies[kind.value] == (n_ok // 2) / n_ok
 
 
-# --- worker pool ---
+# --- forked replication chunks ---
 
-def _allow_cpus(monkeypatch, cpus):
-    """Make ``cpus`` CPUs the ones this process may run on."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+class _InlineProcess:
+    """A fork context's ``Process`` that runs its target in this process
+    when started, so that what the target records is seen here."""
+
+    def __init__(self, target, args, daemon):
+        self.target, self.args = target, args
+
+    def start(self):
+        self.target(*self.args)
+
+    def join(self):
+        pass
 
 
 def _planned_chunks(monkeypatch, reps, n_jobs, cpus):
-    """Worker count and ``[lo, hi)`` chunks ``_replicate`` hands its pool.
-
-    The pool is a stand-in that records its size and cuts the job list the
-    way ``multiprocessing.pool.Pool`` does, then runs the chunks in order.
-    """
-    _allow_cpus(monkeypatch, cpus)
+    """Worker count and the ``[lo, hi)`` chunks ``_replicate`` hands
+    ``_forked``, in order. The fork context is a stand-in whose processes
+    run in this process, so every chunk is recorded here."""
+    allow_cpus(monkeypatch, cpus)
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork"])
-    plan = []
+    started, chunks = [], []
 
-    class Pool:
-        def __init__(self, processes):
-            plan.append(processes)
+    def process(**kwargs):
+        started.append(kwargs["args"][0])
+        return _InlineProcess(**kwargs)
 
-        def __enter__(self):
-            return self
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: types.SimpleNamespace(
+        Pipe=multiprocessing.Pipe, Process=process))
+    real = panel_mod._forked
 
-        def __exit__(self, *exc):
-            return False
+    def spy(fn, items, jobs):
+        def recorded(lo, hi):
+            chunks.append((lo, hi))
+            return fn(lo, hi)
+        return real(recorded, items, jobs)
 
-        def starmap(self, fn, jobs, chunksize):
-            chunks = [chunk for _, chunk in
-                      multiprocessing.pool.Pool._get_tasks(fn, jobs, chunksize)]
-            plan.append([(chunk[0][-1], chunk[-1][-1] + 1) for chunk in chunks])
-            return [fn(*job) for chunk in chunks for job in chunk]
-
-    monkeypatch.setattr(multiprocessing, "get_context",
-                        lambda method: types.SimpleNamespace(Pool=Pool))
+    monkeypatch.setattr(mc, "_forked", spy)
     rows = mc._replicate(lambda rep: rep, (), reps, n_jobs)
     assert rows == list(range(reps))
-    return tuple(plan) if plan else (1, [(0, reps)])
+    # the forked chunks start first; the caller runs chunk 0 last
+    assert chunks[-1][0] == 0 and started == list(range(1, len(chunks)))
+    return len(started) + 1, sorted(chunks)
 
 
 @pytest.mark.parametrize("reps, n_jobs, cpus, expected", [
     (3, 8, 16, [(0, 1), (1, 2), (2, 3)]),         # fewer reps than workers
-    (7, 2, 2, [(0, 4), (4, 7)]),                   # reps not divisible
-    (10, 3, 4, [(0, 4), (4, 8), (8, 10)]),
+    (7, 2, 2, [(0, 3), (3, 7)]),                   # reps not divisible
+    (10, 3, 4, [(0, 3), (3, 6), (6, 10)]),
     (2000, 10_000, 2, [(0, 1000), (1000, 2000)]),  # far more workers than CPUs
     (5, 1, 8, [(0, 5)]),
     (1, 4, 4, [(0, 1)]),
@@ -403,43 +408,43 @@ def test_chunk_bounds_partition_in_order(monkeypatch):
         for n_jobs in (1, 2, 3, 5, 8, 64, 10**9):
             for cpus in (1, 2, 3, 4, 7, 128):
                 workers, chunks = _planned_chunks(monkeypatch, reps, n_jobs, cpus)
-                assert workers == min(n_jobs, reps, cpus)
-                assert len(chunks) <= workers
+                assert workers == len(chunks) == min(n_jobs, reps, cpus)
                 assert chunks[0][0] == 0 and chunks[-1][1] == reps
                 assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
                 sizes = [hi - lo for lo, hi in chunks]
-                assert set(sizes[:-1]) <= {math.ceil(reps / workers)} and sizes[-1] >= 1
+                assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
 
 
 @needs_fork
 @pytest.mark.parametrize("n_jobs", [2, 3])
-def test_pool_outcome_rows_equal_serial(monkeypatch, n_jobs):
+def test_forked_outcome_rows_equal_serial(monkeypatch, n_jobs):
     # the size experiment's outcome rows and the demo's estimates
     cfg = small_config(reps=7)
     cases = [(mc._replication_outcome, (cfg,), np.int8),
              (mc._interaction_estimate, (9, 7, 0.6, 3), np.float64)]
     serial = [np.array(mc._replicate(fn, args, 7, 1)) for fn, args, _ in cases]
     assert serial[0].shape == (7, len(cfg.methods)) and not np.isnan(serial[1]).any()
-    _allow_cpus(monkeypatch, 8)
-    pool_sizes = []
+    allow_cpus(monkeypatch, 8)
+    started = []
     real_get_context = multiprocessing.get_context
 
     def spy(method):
         assert method == "fork"
         context = real_get_context(method)
 
-        def pool(processes):
-            pool_sizes.append(processes)
-            return context.Pool(processes)
+        def process(**kwargs):
+            started.append(kwargs["args"][0])
+            return context.Process(**kwargs)
 
-        return types.SimpleNamespace(Pool=pool)
+        return types.SimpleNamespace(Pipe=context.Pipe, Process=process)
 
     monkeypatch.setattr(multiprocessing, "get_context", spy)
     for (fn, args, dtype), rows in zip(cases, serial):
         pooled = np.array(mc._replicate(fn, args, 7, n_jobs))
         assert pooled.dtype == dtype and pooled.shape[0] == 7
         assert pooled.tobytes() == rows.tobytes()
-    assert pool_sizes == [n_jobs, n_jobs]  # min(n_jobs, reps, cpus)
+    # min(n_jobs, reps, cpus) chunks, the first run by this process
+    assert started == [*range(1, n_jobs)] * 2
     assert multiprocessing.active_children() == []
 
 
@@ -448,7 +453,7 @@ def test_no_fork_start_method_runs_serially(monkeypatch):
     serial = rejection_experiment(cfg, n_jobs=1)
 
     def no_pool(method):
-        raise AssertionError(f"a {method} pool was started")
+        raise AssertionError(f"a {method} process was started")
 
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     monkeypatch.setattr(multiprocessing, "get_context", no_pool)
@@ -461,10 +466,10 @@ def test_one_cpu_affinity_runs_serially(monkeypatch):
     serial = rejection_experiment(cfg, n_jobs=1)
 
     def no_pool(method):
-        raise AssertionError(f"a {method} pool was started")
+        raise AssertionError(f"a {method} process was started")
 
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    _allow_cpus(monkeypatch, 1)
+    allow_cpus(monkeypatch, 1)
     monkeypatch.setattr(multiprocessing, "get_context", no_pool)
     assert report_to_json(rejection_experiment(cfg, n_jobs=2)) == report_to_json(serial)
 
@@ -472,9 +477,9 @@ def test_one_cpu_affinity_runs_serially(monkeypatch):
 def test_cpu_count_caps_workers_without_an_affinity_mask(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert mc._usable_cpus() == 3
+    assert panel_mod._usable_cpus() == 3
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert mc._usable_cpus() == 1
+    assert panel_mod._usable_cpus() == 1
 
 
 @needs_fork
@@ -488,7 +493,7 @@ def test_worker_exception_propagates_and_pool_is_reaped(monkeypatch):
 
     # the workers are forked, so they call the patched module attribute
     monkeypatch.setattr(mc, "generate_dgp", failing)
-    _allow_cpus(monkeypatch, 8)
+    allow_cpus(monkeypatch, 8)
     with pytest.raises(ValueError, match="replication 5"):
         rejection_experiment(small_config(reps=7), n_jobs=2)
     assert multiprocessing.active_children() == []
@@ -509,7 +514,7 @@ def test_replications_run_with_one_blas_thread(monkeypatch):
         return real(config, rep)
 
     monkeypatch.setattr(mc, "generate_dgp", checked)
-    _allow_cpus(monkeypatch, 8)
+    allow_cpus(monkeypatch, 8)
     for n_jobs in (1, 2):
         rejection_experiment(small_config(reps=4), n_jobs=n_jobs)
         assert [get() for get, _ in controls] == before
