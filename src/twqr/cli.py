@@ -257,7 +257,10 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=cmd_simulate)
 
     demo = sub.add_parser("demo-nongaussian",
-                          help="median-regression interaction-regime demonstration")
+                          help="median-regression interaction-regime demonstration",
+                          description="Median-regression interaction-regime demonstration. "
+                                      "Uses every CPU the process may run on; output is "
+                                      "identical at any count.")
     demo.add_argument("--G", type=int, default=100)
     demo.add_argument("--H", type=int, default=100)
     demo.add_argument("--c", type=float, default=1.0,

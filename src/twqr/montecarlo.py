@@ -21,7 +21,9 @@ arrays, and each call site re-keys one Philox per stream instead of
 building a SeedSequence and a generator for each. Both the size experiment
 and the demo run their replications through one map, ``_replicate``:
 contiguous groups of replications on ``panel._forked``'s processes, with
-every OpenBLAS at one thread.
+every OpenBLAS at one thread. The size experiment asks for ``n_jobs``
+workers; the demo has no such option and uses every CPU the process may
+run on, as the CSV range reader does.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from .errors import (
     ZeroStdError,
 )
 from .jacobian import powell_jacobian, rule_of_thumb_bandwidth
-from .panel import PanelArray, _forked
+from .panel import PanelArray, _forked, _usable_cpus
 from .solver import _require_tau, fit_qr, score_matrix
 
 __all__ = [
@@ -815,9 +817,14 @@ def nongaussian_demo(G: int, H: int, c: float, reps: int,
     reference sample's scale kappa is calibrated by matching interquartile
     ranges against a large raw product-normal draw and reported alongside
     the samples.
+
+    The replications run on every CPU the process may use (its affinity
+    mask, so ``taskset -c 0`` runs them here, serially) through
+    ``_replicate``; the output is byte-identical at any count.
     """
     G, H, c, reps, seed, p_plus = _demo_args(G, H, c, reps, seed)
-    vals = np.array(_replicate(_interaction_estimate, (G, H, p_plus, seed), reps, 1))
+    vals = np.array(_replicate(_interaction_estimate, (G, H, p_plus, seed), reps,
+                              _usable_cpus()))
     empirical = vals[~np.isnan(vals)]
     failures = reps - len(empirical)
     _check_failures(failures, reps)

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
-from helpers import grid_panel, random_panel, reference_interior_point
+from helpers import allow_cpus, grid_panel, random_panel, reference_interior_point
 
 import twqr
 from twqr import cli, errors
@@ -767,6 +767,19 @@ def test_demo_outputs_and_determinism(tmp_path, capsys):
     float(rows[0]["value"])
     for name in ("empirical.csv", "reference.csv", "summary.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_demo_files_do_not_depend_on_usable_cpus(tmp_path, monkeypatch, capsys):
+    outputs = []
+    for cpus in (1, 2):
+        allow_cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert main(["demo-nongaussian", "--G", "12", "--H", "9", "--c", "1",
+                     "--reps", "500", "--seed", "5", "--out", str(out)]) == 0
+        outputs.append({name: (out / name).read_bytes()
+                        for name in ("empirical.csv", "reference.csv", "summary.json")})
+    capsys.readouterr()
+    assert outputs[0] == outputs[1]
 
 
 def test_demo_rejects_negative_c(tmp_path, capsys):

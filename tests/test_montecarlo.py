@@ -205,18 +205,29 @@ def test_dgp_replications_share_one_read_only_grid(monkeypatch):
     assert a.g_idx is b.g_idx and a.h_idx is b.h_idx
     assert a.g_idx is g_idx and a.h_idx is h_idx
     assert a.g_labels is g_labels and a.h_labels is h_labels
-    # the demo's panels use the same pair
+    # the demo's panels use the same pair, in this process and in the forked
+    # ones: a replication's estimate becomes its index exactly when it fitted
+    # one panel, and that panel holds the pair
     panels = []
-    real_fit = mc.fit_qr
+    real_fit, real_estimate = mc.fit_qr, mc._interaction_estimate
 
     def recording_fit(panel, tau):
         panels.append(panel)
         return real_fit(panel, tau)
 
+    def estimate(G, H, p_plus, seed, rep):
+        panels.clear()
+        real_estimate(G, H, p_plus, seed, rep)
+        shared = [p.g_idx is a.g_idx and p.h_idx is a.h_idx for p in panels]
+        return float(rep) if shared == [True] else math.nan
+
     monkeypatch.setattr(mc, "fit_qr", recording_fit)
-    nongaussian_demo(G=7, H=5, c=0.0, reps=500, seed=0)
-    assert len(panels) == 500
-    assert all(p.g_idx is a.g_idx and p.h_idx is a.h_idx for p in panels)
+    monkeypatch.setattr(mc, "_interaction_estimate", estimate)
+    for cpus in (1, 2):
+        allow_cpus(monkeypatch, cpus)
+        demo = nongaussian_demo(G=7, H=5, c=0.0, reps=500, seed=0)
+        assert demo.summary.failures == 0
+        assert demo.empirical.tobytes() == np.arange(500.0).tobytes()
 
 
 def test_true_beta_values_and_fit_consistency():
@@ -415,16 +426,9 @@ def test_chunk_bounds_partition_in_order(monkeypatch):
                 assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
 
 
-@needs_fork
-@pytest.mark.parametrize("n_jobs", [2, 3])
-def test_forked_outcome_rows_equal_serial(monkeypatch, n_jobs):
-    # the size experiment's outcome rows and the demo's estimates
-    cfg = small_config(reps=7)
-    cases = [(mc._replication_outcome, (cfg,), np.int8),
-             (mc._interaction_estimate, (9, 7, 0.6, 3), np.float64)]
-    serial = [np.array(mc._replicate(fn, args, 7, 1)) for fn, args, _ in cases]
-    assert serial[0].shape == (7, len(cfg.methods)) and not np.isnan(serial[1]).any()
-    allow_cpus(monkeypatch, 8)
+def _record_process_starts(monkeypatch):
+    """The list that each process the fork context starts appends its
+    group index to; the processes themselves are real forks."""
     started = []
     real_get_context = multiprocessing.get_context
 
@@ -439,6 +443,20 @@ def test_forked_outcome_rows_equal_serial(monkeypatch, n_jobs):
         return types.SimpleNamespace(Pipe=context.Pipe, Process=process)
 
     monkeypatch.setattr(multiprocessing, "get_context", spy)
+    return started
+
+
+@needs_fork
+@pytest.mark.parametrize("n_jobs", [2, 3])
+def test_forked_outcome_rows_equal_serial(monkeypatch, n_jobs):
+    # the size experiment's outcome rows and the demo's estimates
+    cfg = small_config(reps=7)
+    cases = [(mc._replication_outcome, (cfg,), np.int8),
+             (mc._interaction_estimate, (9, 7, 0.6, 3), np.float64)]
+    serial = [np.array(mc._replicate(fn, args, 7, 1)) for fn, args, _ in cases]
+    assert serial[0].shape == (7, len(cfg.methods)) and not np.isnan(serial[1]).any()
+    allow_cpus(monkeypatch, 8)
+    started = _record_process_starts(monkeypatch)
     for (fn, args, dtype), rows in zip(cases, serial):
         pooled = np.array(mc._replicate(fn, args, 7, n_jobs))
         assert pooled.dtype == dtype and pooled.shape[0] == 7
@@ -856,13 +874,16 @@ def test_demo_failed_replications(monkeypatch):
     args = dict(G=10, H=10, c=0.0, reps=500, seed=4)
     clean = nongaussian_demo(**args)
     assert clean.summary.failures == 0
-    real = mc.fit_qr
+    real, real_estimate = mc.fit_qr, mc._interaction_estimate
+    current = []  # the replication being run, in whichever process runs it
+
+    def estimate(G, H, p_plus, seed, rep):
+        current[:] = [rep]
+        return real_estimate(G, H, p_plus, seed, rep)
 
     def failing_on(rank_deficient, unconverged):
-        calls = iter(range(args["reps"]))
-
         def fit_qr(panel, tau):
-            rep = next(calls)
+            rep, = current
             if rep in rank_deficient:
                 raise RankDeficient("synthetic")
             fit = real(panel, tau)
@@ -872,15 +893,19 @@ def test_demo_failed_replications(monkeypatch):
             return fit
         return fit_qr
 
-    # 5 failures are 1% of 500, the most the demo tolerates
-    monkeypatch.setattr(mc, "fit_qr", failing_on({3, 250}, {0, 7, 499}))
-    demo = nongaussian_demo(**args)
-    assert demo.summary.failures == 5
-    expect = np.delete(clean.empirical, [0, 3, 7, 250, 499])
-    assert demo.empirical.tobytes() == expect.tobytes()
-    monkeypatch.setattr(mc, "fit_qr", failing_on({3, 250, 251}, {0, 7, 499}))
-    with pytest.raises(ExcessiveFailureRate, match="^6 of 500 replications failed$"):
-        nongaussian_demo(**args)
+    monkeypatch.setattr(mc, "_interaction_estimate", estimate)
+    # at two CPUs the groups split at replication 250: failures on both sides
+    for cpus in (1, 2):
+        allow_cpus(monkeypatch, cpus)
+        # 5 failures are 1% of 500, the most the demo tolerates
+        monkeypatch.setattr(mc, "fit_qr", failing_on({3, 250}, {0, 7, 499}))
+        demo = nongaussian_demo(**args)
+        assert demo.summary.failures == 5
+        expect = np.delete(clean.empirical, [0, 3, 7, 250, 499])
+        assert demo.empirical.tobytes() == expect.tobytes()
+        monkeypatch.setattr(mc, "fit_qr", failing_on({3, 250, 251}, {0, 7, 499}))
+        with pytest.raises(ExcessiveFailureRate, match="^6 of 500 replications failed$"):
+            nongaussian_demo(**args)
 
 
 def test_demo_shape_statistics():
@@ -903,6 +928,30 @@ def test_demo_deterministic():
     assert_array_equal(a.reference, b.reference)
     c = nongaussian_demo(G=20, H=20, c=0.5, reps=500, seed=4)
     assert not np.array_equal(a.empirical, c.empirical)
+
+
+def test_demo_output_does_not_depend_on_usable_cpus(monkeypatch):
+    demos = []
+    for cpus in (1, 2, 3):
+        allow_cpus(monkeypatch, cpus)
+        demos.append(nongaussian_demo(G=20, H=20, c=0.5, reps=500, seed=3))
+    for demo in demos[1:]:
+        assert demo.empirical.tobytes() == demos[0].empirical.tobytes()
+        assert demo.reference.tobytes() == demos[0].reference.tobytes()
+        assert demo.summary == demos[0].summary
+
+
+@needs_fork
+def test_demo_forks_one_process_per_usable_cpu_after_the_first(monkeypatch):
+    started = _record_process_starts(monkeypatch)
+    allow_cpus(monkeypatch, 8)
+    nongaussian_demo(G=6, H=6, c=0.0, reps=500, seed=1)
+    assert started == list(range(1, 8))  # min(reps, CPUs) - 1 children
+    assert multiprocessing.active_children() == []
+    started.clear()
+    allow_cpus(monkeypatch, 1)  # as under taskset -c 0
+    nongaussian_demo(G=6, H=6, c=0.0, reps=500, seed=1)
+    assert started == []
 
 
 def _same_float(a, b):
