@@ -8,9 +8,11 @@ given file always loads to the same array.
 
 A CSV larger than one range of ``_RANGE_BYTES`` is parsed by byte ranges,
 each ending at a newline, straight into the panel's four arrays, on every
-CPU the process may run on (``_usable_cpus``). The arrays do not depend on
-the worker count. ``_forked``, which starts those workers, is also the
-Monte Carlo engine's replication map, and the only place twqr forks.
+CPU the process may run on (``_usable_cpus``). ``write_csv`` formats its
+chunks of rows on every such CPU too. Neither the arrays nor the written
+bytes depend on the worker count. ``_forked``, which starts those workers,
+is also the Monte Carlo engine's replication map, and the only place twqr
+forks.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ import mmap
 import multiprocessing
 import os
 import re
+import shutil
+import tempfile
 import warnings
 from dataclasses import dataclass, field
 
@@ -550,20 +554,32 @@ def write_csv(panel: PanelArray, path, schema: dict | None = None) -> None:
     """Serialize a panel back to the long CSV format read by :func:`load_csv`.
 
     Rows are formatted column by column in chunks of ten thousand; floats
-    are written with ``repr``, so they read back exactly.
+    are written with ``repr``, so they read back exactly. Header names and
+    labels are quoted as ``_csv_field`` quotes them, a bare carriage return
+    included.
+
+    ``_forked`` cuts the chunks into contiguous groups, at most one per CPU
+    the process may run on (``_usable_cpus()``). This process writes the
+    header and formats the first group straight into ``path``; each other
+    group is formatted by a forked process into its own file in a scratch
+    ``tempfile.TemporaryDirectory``. Once every group has ended, this
+    process appends those files in group order, a bounded buffer at a
+    time, and removes the directory. The bytes are the same at any CPU count. An
+    error in a forked group is raised by ``_forked``'s rule: an OSError
+    there is a ChildProcessError here, which is itself an OSError.
     """
     if schema is None:
         schema = {"g": "g", "h": "h", "y": "y", "x": [f"x{j + 1}" for j in range(panel.d)]}
     x_cols = list(schema["x"])
     if len(x_cols) != panel.d:
         raise DimensionMismatch("schema x column count differs from panel.d")
+    header = ",".join(map(_csv_field, [schema["g"], schema["h"], schema["y"], *x_cols]))
     g_text = [_csv_field(label) for label in panel.g_labels]
     h_text = [_csv_field(label) for label in panel.h_labels]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(
-            [schema["g"], schema["h"], schema["y"], *x_cols])
-        for start in range(0, panel.n, _WRITE_CHUNK_ROWS):
-            rows = slice(start, start + _WRITE_CHUNK_ROWS)
+
+    def write_chunks(fh, lo: int, hi: int) -> None:
+        for chunk in range(lo, hi):
+            rows = slice(chunk * _WRITE_CHUNK_ROWS, (chunk + 1) * _WRITE_CHUNK_ROWS)
             fields = [
                 map(g_text.__getitem__, panel.g_idx[rows].tolist()),
                 map(h_text.__getitem__, panel.h_idx[rows].tolist()),
@@ -571,6 +587,26 @@ def write_csv(panel: PanelArray, path, schema: dict | None = None) -> None:
                 *(map(repr, col) for col in panel.x[rows].T.tolist()),
             ]
             fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
+
+    with open(path, "w", newline="", encoding="utf-8") as fh, \
+            tempfile.TemporaryDirectory() as scratch:
+        fh.write(header + "\n")
+        fh.flush()  # before the fork, so no copy of this buffer holds the header
+
+        def write_group(lo: int, hi: int) -> str | None:
+            if lo == 0:  # this process's group
+                write_chunks(fh, lo, hi)
+                return None
+            part = os.path.join(scratch, str(lo))
+            with open(part, "w", newline="", encoding="utf-8") as out:
+                write_chunks(out, lo, hi)
+            return part
+
+        parts = _forked(write_group, -(-panel.n // _WRITE_CHUNK_ROWS), _usable_cpus())
+        fh.flush()
+        for part in parts[1:]:
+            with open(part, "rb") as src:
+                shutil.copyfileobj(src, fh.buffer)
 
 
 def validate(panel: PanelArray) -> ValidationReport:

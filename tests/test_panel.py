@@ -1,9 +1,11 @@
 """Tests for CSV ingestion, panel containers, and the validation pass."""
 
 import ast
+import hashlib
 import multiprocessing
 import os
 import pathlib
+import tempfile
 import time
 from unittest import mock
 
@@ -149,6 +151,20 @@ def test_round_trip_preserves_cells(tmp_path):
     # a schema must name one column per regressor
     with pytest.raises(DimensionMismatch):
         write_csv(panel, tmp_path / "out3.csv", {"g": "g", "h": "h", "y": "y", "x": ["x1"]})
+
+
+def test_header_names_are_quoted_as_labels_are(tmp_path):
+    """A name holding a bare carriage return, a comma, a quote or a letter
+    that is not ASCII reads back as itself; plain names keep their bytes."""
+    rng = np.random.default_rng(3)
+    panel = grid_panel(3, 4, rng.standard_normal((12, 2)), rng.standard_normal(12))
+    schema = {"g": "g\rA", "h": "h,B", "y": 'y"C', "x": ["x\r1", "é"]}
+    path = tmp_path / "p.csv"
+    write_csv(panel, path, schema)
+    assert read_header(path) == ["g\rA", "h,B", 'y"C', "x\r1", "é"]
+    assert load_csv(path, schema).cell_set() == panel.cell_set()
+    write_csv(panel, path)
+    assert path.read_bytes().startswith(b"g,h,y,x1,x2\n")
 
 
 def test_constructor_rejects_bad_shapes_and_values():
@@ -703,6 +719,119 @@ def test_a_range_reader_that_dies_is_an_error_and_is_reaped(tmp_path, monkeypatc
     with pytest.raises(ChildProcessError, match="exit code 7"):
         load_csv(path, SCHEMA)
     assert multiprocessing.active_children() == []
+
+
+# --- write_csv on every usable CPU ---
+
+def quoted_panel(G, H):
+    """A G-by-H grid whose every g and h label needs quoting."""
+    rng = np.random.default_rng(G * H)
+    return PanelArray(G=G, H=H, g_idx=np.repeat(np.arange(G), H), h_idx=np.tile(np.arange(H), G),
+                      y=rng.standard_normal(G * H), x=rng.standard_normal((G * H, 2)),
+                      g_labels=tuple(f'g "{i}",é' for i in range(G)),
+                      h_labels=tuple(f"h\r{j}" for j in range(H)))
+
+
+def dgp_panel(G, d):
+    cfg = MonteCarloConfig(G=G, H=G, d=d, tau=0.5, reps=1, seed=0,
+                           weights=DgpWeights(1.0, 1.0, 1.0, 1.0, 1.0, 1.0))
+    return generate_dgp(cfg, 0)
+
+
+# sha256 of dgp_panel(160, 3) as the serial writer wrote it: 25,600 rows,
+# two full chunks and a part one
+DGP_160_SHA256 = "f24489293134c48b578bd81038b2084408765b7cadd8dfba6b2b1f33d5fcd318"
+
+
+@pytest.mark.parametrize("make, sha256", [
+    (lambda: grid_panel(1, 1, [[1.5]], [0.25]), None),
+    (lambda: dgp_panel(50, 2), None),
+    (lambda: grid_panel(100, 200, np.ones((20_000, 1)), np.arange(20_000.0) / 7), None),
+    (lambda: dgp_panel(160, 3), DGP_160_SHA256),
+    (lambda: quoted_panel(120, 210), None),
+], ids=["n=1", "n<10k", "n=20k", "n=25.6k", "quoted labels"])
+def test_write_csv_bytes_are_the_same_at_any_cpu_count(tmp_path, monkeypatch, make, sha256):
+    panel = make()
+    written = []
+    for cpus in (1, 2, 3):
+        allow_cpus(monkeypatch, cpus)
+        path = tmp_path / f"{cpus}.csv"
+        write_csv(panel, path)
+        written.append(path.read_bytes())
+    assert written[1] == written[0] and written[2] == written[0]
+    schema = {"g": "g", "h": "h", "y": "y", "x": [f"x{j + 1}" for j in range(panel.d)]}
+    assert load_csv(tmp_path / "3.csv", schema).cell_set() == panel.cell_set()
+    if sha256 is not None:
+        assert hashlib.sha256(written[0]).hexdigest() == sha256
+
+
+def y_as_row(n):
+    """A panel whose y holds each row's index, so a formatter can tell the
+    chunk of the row it formats."""
+    return grid_panel(n // 100, 100, np.zeros((n, 1)), np.arange(float(n)))
+
+
+@needs_fork
+def test_write_csv_raises_a_forked_groups_error_and_leaves_nothing_behind(
+        tmp_path, monkeypatch):
+    """An OSError from chunk 1 on, which a child formats, is a
+    ChildProcessError here; no process and no scratch file is left."""
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+
+    def failing_repr(value):
+        if value >= panel_module._WRITE_CHUNK_ROWS:
+            raise OSError(28, "No space left on device")
+        return repr(value)
+
+    monkeypatch.setattr(panel_module, "repr", failing_repr, raising=False)
+    allow_cpus(monkeypatch, 2)
+    with pytest.raises(ChildProcessError, match="forked worker raised OSError") as err:
+        write_csv(y_as_row(30_000), tmp_path / "p.csv")
+    assert isinstance(err.value, OSError)
+    assert list(scratch.iterdir()) == []
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_write_csv_raises_its_own_groups_error_and_ends_its_children(tmp_path, monkeypatch):
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    parent = os.getpid()
+
+    def repr_here_fails(value):
+        if os.getpid() == parent:
+            raise OSError(28, "No space left on device")
+        time.sleep(60)
+
+    monkeypatch.setattr(panel_module, "repr", repr_here_fails, raising=False)
+    allow_cpus(monkeypatch, 2)
+    start = time.monotonic()
+    with pytest.raises(OSError, match="No space left") as err:
+        write_csv(y_as_row(20_000), tmp_path / "p.csv")
+    assert type(err.value) is OSError
+    assert time.monotonic() - start < 30  # the child was ended, not waited for
+    assert list(scratch.iterdir()) == []
+    assert multiprocessing.active_children() == []
+
+
+def test_write_csv_working_set_does_not_grow_with_cpus(tmp_path, monkeypatch):
+    """This process formats one chunk at a time at any CPU count, and
+    appends the other groups' files through a 64 KiB buffer. The allowance,
+    128 KiB, covers that buffer and the join's bookkeeping. At two CPUs a
+    child formats 32,500 of the 62,500 rows, about 2.3 MB of text: sent back
+    through ``_forked``'s results, it raised this peak by 1.2 MB."""
+    panel = dgp_panel(250, 3)
+    path = tmp_path / "p.csv"
+    allow_cpus(monkeypatch, 2)
+    write_csv(panel, path)  # the fork machinery's first-use imports
+    peaks = {}
+    for cpus in (1, 2):
+        allow_cpus(monkeypatch, cpus)
+        _, peaks[cpus] = traced_peak(write_csv, panel, path)
+    assert peaks[2] <= peaks[1] + (128 << 10), peaks
 
 
 # --- _forked, the one place twqr starts processes ---
