@@ -35,7 +35,7 @@ from .montecarlo import (
     report_rows,
     report_to_json,
 )
-from .panel import load_csv, read_header
+from .panel import _replacing, _usable_cpus, load_csv, read_header
 from .solver import _require_tau, fit_qr, score_matrix
 
 __all__ = ["main", "build_parser"]
@@ -59,7 +59,7 @@ def _resolve_threads(value: int | None) -> int:
         if n < 1:
             raise InvalidConfig(f"TWQR_THREADS must be >= 1, got {n}")
         return n
-    return 1
+    return _usable_cpus()
 
 
 def _fit_schema(args: argparse.Namespace) -> dict:
@@ -185,7 +185,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
               f"tau={cfg.tau} reps={cfg.reps}", file=sys.stderr)
         reports.append(rejection_experiment(cfg, n_jobs=threads))
     csv_path = os.path.join(args.out, "report.csv")
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+    with _replacing(csv_path) as fh:
         writer = csv.DictWriter(fh, fieldnames=list(REPORT_COLUMNS), lineterminator="\n")
         writer.writeheader()
         for report in reports:
@@ -193,7 +193,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 writer.writerow({k: repr(v) if isinstance(v, float) else v
                                  for k, v in row.items()})
     json_path = os.path.join(args.out, "report.json")
-    with open(json_path, "w", encoding="utf-8") as fh:
+    with _replacing(json_path) as fh:
         json.dump({"reports": [report_to_json(r) for r in reports]},
                   fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -207,15 +207,14 @@ def cmd_demo_nongaussian(args: argparse.Namespace) -> int:
     demo = nongaussian_demo(G=args.G, H=args.H, c=args.c,
                             reps=args.reps, seed=args.seed)
     for name, sample in (("empirical", demo.empirical), ("reference", demo.reference)):
-        path = os.path.join(args.out, f"{name}.csv")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with _replacing(os.path.join(args.out, f"{name}.csv")) as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["index", "value"])
             for i, v in enumerate(sample):
                 writer.writerow([i, repr(float(v))])
     summary = {"G": args.G, "H": args.H, "c": args.c, "reps": args.reps,
                "seed": args.seed, **asdict(demo.summary)}
-    with open(os.path.join(args.out, "summary.json"), "w", encoding="utf-8") as fh:
+    with _replacing(os.path.join(args.out, "summary.json")) as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"wrote samples and summary under {args.out}", file=sys.stderr)
@@ -253,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=None,
                      help="override the seed of every design, grid entries included")
     sim.add_argument("--threads", type=int, default=None,
-                     help="worker processes (default: TWQR_THREADS or 1)")
+                     help="worker processes (default: TWQR_THREADS, else every CPU "
+                          "the process may run on)")
     sim.set_defaults(func=cmd_simulate)
 
     demo = sub.add_parser("demo-nongaussian",

@@ -12,12 +12,14 @@ CPU the process may run on (``_usable_cpus``). ``write_csv`` formats its
 chunks of rows on every such CPU too. Neither the arrays nor the written
 bytes depend on the worker count. ``_forked``, which starts those workers,
 is also the Monte Carlo engine's replication map, and the only place twqr
-forks.
+forks. ``_replacing``, through which twqr writes every file, leaves each
+file whole or as it was.
 """
 
 from __future__ import annotations
 
 import codecs
+import contextlib
 import csv
 import functools
 import io
@@ -26,6 +28,7 @@ import mmap
 import multiprocessing
 import os
 import re
+import secrets
 import shutil
 import tempfile
 import warnings
@@ -550,6 +553,29 @@ def _csv_field(value) -> str:
     return buf.getvalue()[:-3]  # drop the empty last field's ",\r\n"
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """A text file, opened for UTF-8 writing with no newline translation,
+    whose content becomes ``path``'s when the block ends without error.
+
+    It is a scratch file in ``path``'s directory, created new with a
+    random hidden name; ``os.replace`` moves it over ``path`` at the end of
+    the block. On an error it is unlinked and ``path`` keeps the bytes it
+    had, or stays absent, so a reader never sees a partial file.
+    """
+    path = os.fspath(path)
+    head, tail = os.path.split(path)
+    scratch = os.path.join(head, f".{tail}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(scratch, "x", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(scratch, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(scratch)
+        raise
+
+
 def write_csv(panel: PanelArray, path, schema: dict | None = None) -> None:
     """Serialize a panel back to the long CSV format read by :func:`load_csv`.
 
@@ -560,13 +586,16 @@ def write_csv(panel: PanelArray, path, schema: dict | None = None) -> None:
 
     ``_forked`` cuts the chunks into contiguous groups, at most one per CPU
     the process may run on (``_usable_cpus()``). This process writes the
-    header and formats the first group straight into ``path``; each other
-    group is formatted by a forked process into its own file in a scratch
-    ``tempfile.TemporaryDirectory``. Once every group has ended, this
+    header and formats the first group straight into the output file; each
+    other group is formatted by a forked process into its own file in a
+    scratch ``tempfile.TemporaryDirectory``. Once every group has ended, this
     process appends those files in group order, a bounded buffer at a
     time, and removes the directory. The bytes are the same at any CPU count. An
     error in a forked group is raised by ``_forked``'s rule: an OSError
     there is a ChildProcessError here, which is itself an OSError.
+
+    The file is written through ``_replacing``, so ``path`` holds either the
+    whole new file or what it held before the call.
     """
     if schema is None:
         schema = {"g": "g", "h": "h", "y": "y", "x": [f"x{j + 1}" for j in range(panel.d)]}
@@ -588,8 +617,7 @@ def write_csv(panel: PanelArray, path, schema: dict | None = None) -> None:
             ]
             fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
-    with open(path, "w", newline="", encoding="utf-8") as fh, \
-            tempfile.TemporaryDirectory() as scratch:
+    with _replacing(path) as fh, tempfile.TemporaryDirectory() as scratch:
         fh.write(header + "\n")
         fh.flush()  # before the fork, so no copy of this buffer holds the header
 

@@ -19,10 +19,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
 from scipy.stats import kurtosis, ks_2samp, norm
 
-from helpers import grid_panel
+from helpers import grid_panel, lp_objective
 
 from twqr import cli
 from twqr.crve import CrveKind, evc, omega_ctw, omega_variant
@@ -37,7 +36,6 @@ from twqr.montecarlo import (
     rejection_experiment,
     true_bread,
 )
-from twqr.panel import PanelArray
 from twqr.solver import ScoreMatrix, fit_qr, score_matrix
 
 ALL_METHODS = ("ctw", "cg", "ch", "ci", "ctw2")
@@ -194,16 +192,6 @@ def test_acceptance_6_assembly_identities(emit_verdict):
              f"random score arrays, max rel dev {worst:.2e} (tol 1e-12)")
 
 
-def _lp_objective(panel: PanelArray, tau: float) -> float:
-    # min tau 1'u + (1-tau) 1'v  s.t.  y - X b = u - v; decision [b+, b-, u, v]
-    n, d = panel.n, panel.d
-    c = np.concatenate([np.zeros(2 * d), tau * np.ones(n), (1 - tau) * np.ones(n)])
-    a_eq = np.hstack([panel.x, -panel.x, np.eye(n), -np.eye(n)])
-    res = linprog(c, A_eq=a_eq, b_eq=panel.y, method="highs")
-    assert res.status == 0, res.message
-    return res.fun
-
-
 def test_acceptance_7_solver_optimality(emit_verdict):
     rng = np.random.default_rng(107)
     worst = 0.0
@@ -216,7 +204,7 @@ def test_acceptance_7_solver_optimality(emit_verdict):
         y = x.sum(axis=1) + rng.standard_normal(G * H)
         panel = grid_panel(G, H, x, y)
         fit = fit_qr(panel, tau)
-        ref = _lp_objective(panel, tau)
+        ref = lp_objective(panel, tau)
         worst = max(worst, (fit.objective - ref) / (1.0 + abs(ref)))
     emit_verdict(7, worst <= 1e-6,
              f"objective vs LP oracle on 100 random panels, "

@@ -20,7 +20,7 @@ from jsonschema import Draft202012Validator
 from helpers import allow_cpus, grid_panel, random_panel, reference_interior_point
 
 import twqr
-from twqr import cli, errors
+from twqr import cli, errors, solver
 from twqr import montecarlo as mc
 from twqr import panel as panel_module
 from twqr.cli import main
@@ -380,6 +380,18 @@ def test_fit_extreme_unconverged_design_is_a_numeric_error(tmp_path, capsys, hea
     assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: "), err
 
 
+def test_fit_where_the_bandwidth_constant_vanishes_exits_3(tmp_path, capsys):
+    """jacobian.alpha(tau) = (1 - z)^2 phi(z) is 0 at z = 1, so at tau =
+    Phi(1) as a double the rule-of-thumb bandwidth is inf. The panel is
+    replication 0 of the acceptance two-way design at seed 101."""
+    path = panel_csv(tmp_path, seed=101, G=50, H=50, d=10)
+    assert alpha(0.8413447460685429) == 0.0
+    assert main(["fit", str(path), "--tau", "0.8413447460685429"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: NonpositiveBandwidth: bandwidth must be positive, got inf\n"
+
+
 def test_fit_zero_kernel_hits_is_a_numeric_error(tmp_path, capsys):
     # no residual lies within so tiny a bandwidth, so the Jacobian is zero
     path = panel_csv(tmp_path)
@@ -660,6 +672,98 @@ def test_simulate_thread_env_fallback(tmp_path, capsys, monkeypatch):
         capsys.readouterr()
         assert main(["simulate", str(cfg), "--out", str(tmp_path / "bad"), *flags]) == 2
         assert "InvalidConfig" in capsys.readouterr().err
+
+
+def test_simulate_default_threads_follow_the_affinity_mask(tmp_path, capsys, monkeypatch):
+    cfg = sim_config(tmp_path, reps=12, methods=["ctw"])
+    monkeypatch.delenv("TWQR_THREADS", raising=False)
+    jobs, real = [], cli.rejection_experiment
+
+    def recorded(config, n_jobs):
+        jobs.append(n_jobs)
+        return real(config, n_jobs=n_jobs)
+
+    monkeypatch.setattr(cli, "rejection_experiment", recorded)
+    allow_cpus(monkeypatch, 3)
+    out_default, out_one = tmp_path / "default", tmp_path / "one"
+    assert main(["simulate", str(cfg), "--out", str(out_default)]) == 0
+    assert main(["simulate", str(cfg), "--out", str(out_one), "--threads", "1"]) == 0
+    capsys.readouterr()
+    assert jobs == [3, 1]
+    for name in ("report.csv", "report.json"):
+        assert (out_default / name).read_bytes() == (out_one / name).read_bytes()
+
+
+def test_simulate_preprocessed_fits_are_identical_across_workers(tmp_path, capsys):
+    # n = 10,000 cells, so every replication's fit takes the preprocessed path
+    cfg = sim_config(tmp_path, G=100, H=100, reps=4, methods=["ctw"])
+    panel = generate_dgp(MonteCarloConfig(G=100, H=100, d=2, tau=0.5, reps=4, seed=5,
+                                          weights=DgpWeights(1.0, 1.0, 1.0, 1.0, 1.0, 1.0)), 0)
+    assert panel.n >= solver._PREPROCESS_MIN_N
+    assert solver._preprocessed_fit(panel.x, panel.y, 0.5, DEFAULT_GAP_TOL,
+                                    DEFAULT_MAX_ITER) is not None
+    outs = [tmp_path / "t1", tmp_path / "t2"]
+    for out, threads in zip(outs, ("1", "2")):
+        assert main(["simulate", str(cfg), "--out", str(out), "--threads", threads]) == 0
+    capsys.readouterr()
+    for name in ("report.csv", "report.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_simulate_that_fails_mid_write_leaves_whole_reports_or_none(
+        tmp_path, capsys, monkeypatch, cpus):
+    allow_cpus(monkeypatch, cpus)
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    assert main(["simulate", str(sim_config(tmp_path, reps=6)), "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    real = cli.report_rows
+
+    def one_row_then_full(report):
+        rows = iter(real(report))
+        yield next(rows)
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "report_rows", one_row_then_full)
+    cfg = sim_config(tmp_path, reps=6, seed=6)
+    for target in (out, fresh):
+        capsys.readouterr()
+        assert main(["simulate", str(cfg), "--out", str(target)]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert list(fresh.iterdir()) == []
+
+
+class _NoSpace:
+    def __float__(self):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_demo_that_fails_mid_write_leaves_each_file_whole(tmp_path, capsys, monkeypatch, cpus):
+    # the third file fails half-way: the first is the new run's, the other
+    # two keep the earlier run's bytes
+    allow_cpus(monkeypatch, cpus)
+    out = tmp_path / "out"
+    args = ["demo-nongaussian", "--G", "16", "--H", "16", "--reps", "500", "--out", str(out)]
+    assert main(args + ["--seed", "7"]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    real = cli.nongaussian_demo
+
+    def failing(**kwargs):
+        demo = real(**kwargs)
+        return dataclasses.replace(demo, reference=[*demo.reference[:250], _NoSpace()])
+
+    monkeypatch.setattr(cli, "nongaussian_demo", failing)
+    capsys.readouterr()
+    assert main(args + ["--seed", "8"]) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    after = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(after) == sorted(before) == ["empirical.csv", "reference.csv", "summary.json"]
+    assert after["reference.csv"] == before["reference.csv"]
+    assert after["summary.json"] == before["summary.json"]
+    assert after["empirical.csv"] != before["empirical.csv"]
+    assert after["empirical.csv"].count(b"\n") == 501
 
 
 def test_simulate_input_errors(tmp_path, capsys):

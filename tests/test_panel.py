@@ -794,6 +794,38 @@ def test_write_csv_raises_a_forked_groups_error_and_leaves_nothing_behind(
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("previous", [None, b"g,h,y,x1\n1,1,0.5,0.25\n"], ids=["absent", "present"])
+def test_write_csv_that_fails_mid_write_leaves_the_previous_file(
+        tmp_path, monkeypatch, cpus, previous):
+    """Chunk 2 fails after chunks 0 and 1 are formatted: in this process at
+    one CPU, in the child at two. ``path`` keeps its bytes or stays absent,
+    and no scratch file is left beside it."""
+    scratch, out = tmp_path / "scratch", tmp_path / "out"
+    scratch.mkdir()
+    out.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    path = out / "p.csv"
+    if previous is not None:
+        path.write_bytes(previous)
+
+    def failing_repr(value):
+        if value >= 2 * panel_module._WRITE_CHUNK_ROWS:
+            raise OSError(28, "No space left on device")
+        return repr(value)
+
+    monkeypatch.setattr(panel_module, "repr", failing_repr, raising=False)
+    allow_cpus(monkeypatch, cpus)
+    with pytest.raises(OSError, match="No space left on device"):
+        write_csv(y_as_row(30_000), path)
+    if previous is None:
+        assert list(out.iterdir()) == []
+    else:
+        assert list(out.iterdir()) == [path]
+        assert path.read_bytes() == previous
+    assert list(scratch.iterdir()) == []
+
+
 @needs_fork
 def test_write_csv_raises_its_own_groups_error_and_ends_its_children(tmp_path, monkeypatch):
     scratch = tmp_path / "scratch"

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
-from scipy import sparse
-from scipy.optimize import linprog
 
 from helpers import (
     grid_panel,
+    lp_objective,
     random_panel,
     reference_dual_step,
     reference_interior_point,
@@ -19,6 +18,7 @@ from helpers import (
     traced_peak,
 )
 
+from twqr import solver
 from twqr.errors import DimensionMismatch, InvalidTau, RankDeficient
 from twqr.montecarlo import DgpWeights, MonteCarloConfig, generate_dgp
 from twqr.panel import PanelArray
@@ -32,24 +32,6 @@ from twqr.solver import (
     fit_qr,
     score_matrix,
 )
-
-
-def lp_objective(panel, tau, method="highs"):
-    """Reference optimum from an off-the-shelf LP solver.
-
-    min tau 1'u + (1-tau) 1'v  s.t.  y - X b = u - v, u, v >= 0,
-    with b free. Decision vector [b+, b-, u, v]. The constraint matrix is
-    sparse, so a 10,000-cell panel stays small in memory; ``method`` picks
-    the HiGHS solver, and "highs-ipm" solves that panel about seven times
-    faster than the default simplex.
-    """
-    n, d = panel.n, panel.d
-    c = np.concatenate([np.zeros(2 * d), tau * np.ones(n), (1 - tau) * np.ones(n)])
-    eye = sparse.identity(n, format="csr")
-    a_eq = sparse.hstack([panel.x, -panel.x, eye, -eye], format="csr")
-    res = linprog(c, A_eq=a_eq, b_eq=panel.y, method=method)
-    assert res.status == 0, res.message
-    return res.fun
 
 
 def test_check_loss_examples():
@@ -399,11 +381,17 @@ def test_fit_on_overflowing_design_raises_no_warning():
     assert not fit.solver.converged
 
 
-def fit_working_set(d):
-    """tracemalloc's peak of fit_qr at G=H=200, in n-vectors of float64."""
+def fit_working_set(d, fit=_interior_point):
+    """tracemalloc's peak of a fit at G=H=200, in n-vectors of float64:
+    the interior point's own, or ``fit_qr``'s, which preprocesses there."""
     panel = _acceptance_panel(200, d)
-    fit, peak = traced_peak(fit_qr, panel, 0.5)
-    assert fit.solver.converged
+    if fit is fit_qr:
+        result, peak = traced_peak(fit_qr, panel, 0.5)
+        converged = result.solver.converged
+    else:
+        result, peak = traced_peak(fit, panel.x, panel.y, 0.5, DEFAULT_GAP_TOL, DEFAULT_MAX_ITER)
+        converged = result[5]
+    assert converged
     return peak / (8 * panel.n)
 
 
@@ -419,6 +407,13 @@ def test_fit_working_set_with_fewer_regressors_than_scratch_vectors():
     """At d = 3 the block has seven rows: 14.01 (15.05 with a fresh residual
     per iteration, 18.04 with x q apart as well)."""
     assert fit_working_set(3) <= 14.01 + 1
+
+
+def test_preprocessed_fit_working_set():
+    """n = 40,000 takes the preprocessed path, which holds a few n-vectors
+    at a time and solves LPs of 5,785 and about 4,600 rows: 7.45 at
+    d = 10."""
+    assert fit_working_set(10, fit_qr) <= 7.45 + 1
 
 
 # --- the exact one-regressor path (d = 1) ---
@@ -738,3 +733,145 @@ def test_score_matrix_rejects_wrong_beta_length():
         score_matrix(panel, np.zeros(3), 0.5)
     with pytest.raises(InvalidTau):
         score_matrix(panel, np.zeros(1), 0.0)
+
+
+# --- the preprocessed path (d >= 2, n >= _PREPROCESS_MIN_N) ---
+
+def _preprocess_panel(kind):
+    """Panels just above the preprocessing threshold, d = 3: a full 101 x 101
+    grid; a 115 x 115 grid with about 20% of its cells missing; and Cauchy
+    slopes, whose x has no mean."""
+    rng = np.random.default_rng(97)
+    if kind == "plain":
+        return random_panel(rng, 101, 101, 3)
+    if kind == "missing":
+        full = random_panel(rng, 115, 115, 3)
+        keep = rng.random(full.n) >= 0.2
+        return PanelArray(G=115, H=115, g_idx=full.g_idx[keep], h_idx=full.h_idx[keep],
+                          y=full.y[keep], x=full.x[keep])
+    x = np.column_stack([np.ones(101 * 101), rng.standard_cauchy((101 * 101, 2))])
+    return grid_panel(101, 101, x, x.sum(axis=1) + rng.standard_normal(101 * 101))
+
+
+def _spy(monkeypatch, name):
+    """Record each call of ``solver.<name>`` by its first argument's row count."""
+    calls, real = [], getattr(solver, name)
+
+    def spy(x, *args):
+        calls.append(x.shape[0])
+        return real(x, *args)
+
+    monkeypatch.setattr(solver, name, spy)
+    return calls
+
+
+def _fields(fit):
+    return (fit.beta_hat, fit.residuals, fit.objective, fit.solver.iterations,
+            fit.solver.duality_gap, fit.solver.converged)
+
+
+def assert_falls_back(panel, tau, max_iter=DEFAULT_MAX_ITER):
+    """fit_qr returns the full interior point's six fields, bit for bit."""
+    want = _interior_point(panel.x, panel.y, tau, DEFAULT_GAP_TOL, max_iter)
+    got = _fields(fit_qr(panel, tau, max_iter=max_iter))
+    for field, g, w in zip(("beta", "residuals", "objective", "iterations", "gap",
+                            "converged"), got, want):
+        assert type(g) is type(w), field
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes(), field
+
+
+@pytest.mark.parametrize("kind", ["plain", "missing", "heavy_tailed"])
+@pytest.mark.parametrize("tau", [0.1, 0.5, 0.9])
+def test_preprocessed_fit_is_optimal(monkeypatch, kind, tau):
+    panel = _preprocess_panel(kind)
+    assert panel.n >= solver._PREPROCESS_MIN_N
+    solves = _spy(monkeypatch, "_interior_point")
+    fit = fit_qr(panel, tau)
+    # a subsample and at least one reduced LP, none near the panel's size
+    assert len(solves) >= 2 and max(solves) < panel.n / 2
+    assert fit.solver.converged is True
+    assert fit.solver.duality_gap <= DEFAULT_GAP_TOL * (1.0 + abs(fit.objective))
+    # the full panel's residuals and objective
+    assert fit.residuals.tobytes() == (panel.y - panel.x @ fit.beta_hat).tobytes()
+    assert fit.objective == float(np.sum(check_loss(fit.residuals, tau)))
+    lp = lp_objective(panel, tau, method="highs-ipm")
+    slack = 1e-9 * (1.0 + abs(lp))
+    assert lp - slack <= fit.objective <= lp + fit.solver.duality_gap + slack
+
+
+def test_preprocessed_fit_is_deterministic():
+    panel = _preprocess_panel("missing")
+    first, second = _fields(fit_qr(panel, 0.3)), _fields(fit_qr(panel, 0.3))
+    for g, w in zip(first, second):
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+def test_fit_below_the_threshold_is_the_interior_point(monkeypatch):
+    rng = np.random.default_rng(98)
+    panel = random_panel(rng, 1, solver._PREPROCESS_MIN_N - 1, 3)
+    preprocessed = _spy(monkeypatch, "_preprocessed_fit")
+    assert_falls_back(panel, 0.5)
+    assert preprocessed == []
+
+
+def test_preprocessing_rank_deficient_subsample_falls_back(monkeypatch):
+    # a fourth column that is nonzero only at three cells the subsample misses
+    base = _preprocess_panel("plain")
+    m = round((5 * base.n) ** (2 / 3))
+    outside = np.setdiff1d(np.arange(base.n), solver._subsample(base.n, m))[:3]
+    spike = np.zeros(base.n)
+    spike[outside] = [1.0, 2.0, 3.0]
+    panel = grid_panel(101, 101, np.column_stack([base.x, spike]), base.y)
+    solves = _spy(monkeypatch, "_interior_point")
+    assert_falls_back(panel, 0.5)
+    assert solves[:2] == [m, panel.n]  # the subsample raised RankDeficient
+
+
+@pytest.mark.parametrize("max_iter", [2, 12])
+def test_preprocessing_inner_solve_cut_short_falls_back(monkeypatch, max_iter):
+    # at 2 the subsample's solve is cut short, at 16 the reduced LP's
+    panel = _preprocess_panel("plain")
+    solves = _spy(monkeypatch, "_interior_point")
+    assert_falls_back(panel, 0.5, max_iter)
+    assert len(solves) == (2 if max_iter == 2 else 3) and solves[-1] == panel.n
+
+
+def test_preprocessing_with_too_many_wrong_signs_falls_back(monkeypatch):
+    # negated scaled residuals glob the cells above the fit as below it, and
+    # the reverse, at both subsample sizes
+    real = solver._scaled_residuals
+    monkeypatch.setattr(solver, "_scaled_residuals", lambda *args: -real(*args))
+    reduced = _spy(monkeypatch, "_reduced_solve")
+    assert_falls_back(_preprocess_panel("plain"), 0.5)
+    assert len(reduced) == 2
+
+
+def test_preprocessing_fixes_up_a_few_wrong_signs(monkeypatch):
+    # the five cells furthest above the subsample's fit are globbed below it
+    panel = _preprocess_panel("plain")
+    clean = fit_qr(panel, 0.5)
+    real = solver._scaled_residuals
+
+    def misplaced(*args):
+        scaled = real(*args)
+        scaled[np.argsort(scaled)[-5:]] = -np.inf
+        return scaled
+
+    monkeypatch.setattr(solver, "_scaled_residuals", misplaced)
+    reduced = _spy(monkeypatch, "_reduced_solve")
+    fit = fit_qr(panel, 0.5)
+    assert len(reduced) == 2
+    assert fit.solver.converged is True
+    assert abs(fit.objective - clean.objective) <= (fit.solver.duality_gap
+                                                   + clean.solver.duality_gap)
+
+
+def test_preprocessing_raises_rank_deficient_where_the_interior_point_does(monkeypatch):
+    base = _preprocess_panel("plain")
+    panel = grid_panel(101, 101, np.column_stack([base.x, 2.0 * base.x[:, 1]]), base.y)
+    solves = _spy(monkeypatch, "_interior_point")
+    with pytest.raises(RankDeficient):
+        fit_qr(panel, 0.5)
+    assert solves == []
+    with pytest.raises(RankDeficient):
+        _interior_point(panel.x, panel.y, 0.5, DEFAULT_GAP_TOL, DEFAULT_MAX_ITER)
