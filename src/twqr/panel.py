@@ -6,10 +6,10 @@ cells only and normalizes by realized counts. Raw cluster labels are mapped
 to dense ``0..G-1`` / ``0..H-1`` indices in first-appearance order, so a
 given file always loads to the same array.
 
-A CSV larger than one range of ``_RANGE_BYTES`` is parsed by byte ranges,
-each ending at a newline, straight into the panel's four arrays, on every
-CPU the process may run on (``_usable_cpus``). ``write_csv`` formats its
-chunks of rows on every such CPU too. Neither the arrays nor the written
+A CSV's body is cut into byte ranges of about ``_RANGE_BYTES``, each ending
+where numpy's reader ends a record, and parsed straight into the panel's
+four arrays on every CPU the process may run on (``_usable_cpus``), as
+``write_csv`` formats its chunks of rows. Neither the arrays nor the written
 bytes depend on the worker count. ``_forked``, which starts those workers,
 is also the Monte Carlo engine's replication map, and the only place twqr
 forks. ``_replacing``, through which twqr writes every file, leaves each
@@ -31,7 +31,6 @@ import re
 import secrets
 import shutil
 import tempfile
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -238,13 +237,13 @@ def load_csv(path, schema: dict) -> PanelArray:
         regressor column names).
 
     The whole file is parsed before any cell is checked, so a field that
-    does not parse outranks a repeated cell on an earlier row. A body that
-    ``_ranges`` cuts into ranges is parsed in groups of ranges by
-    ``_forked``, on up to ``_usable_cpus()`` processes that have all ended
-    when this returns or raises; any other file is parsed by one call of
-    numpy's reader. A field that numpy's reader does not parse, in any
-    range, sends the whole file to the row-wise pass, which reads it or
-    names the row and column at fault.
+    does not parse outranks a repeated cell on an earlier row. ``_ranges``
+    cuts the body into ranges, parsed in groups by ``_forked`` on up to
+    ``_usable_cpus()`` processes that have all ended when this returns or
+    raises. A field that numpy's reader does not parse, or a range that it
+    reads as more or fewer records than ``_ranges`` counted, sends the
+    whole file to the row-wise pass, which reads it or names the row and
+    column at fault.
 
     Raises
     ------
@@ -295,41 +294,22 @@ def _load_columns(path, pos: dict, columns: list):
     read, so every label, integer, text or not ASCII, follows the row-wise
     rule in one pass. numpy converts only the first use of a file column, so
     g and h in one column are left to the row-wise pass, as is any field
-    that numpy does not parse (ValueError).
-
-    A body that ``_ranges`` cuts into several ranges is parsed range by
-    range straight into the four arrays, by ``_load_ranges``. Any other
-    body is parsed by one ``np.loadtxt`` call into a record array of d + 3
-    columns, whose columns are copied out so that it dies on return.
+    that numpy does not parse (ValueError). ``_load_ranges`` reads the body.
     """
     g_col, h_col = columns[:2]
     if pos[g_col] == pos[h_col]:
         raise ValueError("g and h name one column")
-    ranges = _ranges(path)
-    if ranges is not None:
-        return _load_ranges(path, ranges, pos, columns)
-    g, h = _LabelIndex(), _LabelIndex()
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        next(csv.reader(fh))  # the header record, which may span lines
-        records = _records(fh, pos, columns, g, h)
-    values = records.dtype.names[2:]
-    return (np.ascontiguousarray(records["g"]), np.ascontiguousarray(records["h"]),
-            np.ascontiguousarray(records[values[0]]),
-            np.column_stack([records[v] for v in values[1:]]), tuple(g.labels), tuple(h.labels))
+    return _load_ranges(path, _ranges(path), pos, columns)
 
 
-def _records(fh, pos: dict, columns: list, g: _LabelIndex, h: _LabelIndex, max_rows=None):
+def _records(fh, pos: dict, columns: list, g: _LabelIndex, h: _LabelIndex):
     """The g and h indices through ``g`` and ``h``, y and each x of the rows
     of text handle ``fh``, as one record array: numpy's C reader."""
     values = [f"v{j}" for j in range(len(columns) - 2)]  # y, then each x
     dtype = [("g", np.intp), ("h", np.intp), *((v, np.float64) for v in values)]
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        return np.loadtxt(fh, dtype=dtype, usecols=[pos[c] for c in columns],
-                          converters={pos[columns[0]]: g.__getitem__,
-                                      pos[columns[1]]: h.__getitem__},
-                          delimiter=",", quotechar='"', comments=None, ndmin=1,
-                          max_rows=max_rows)
+    return np.loadtxt(fh, dtype=dtype, usecols=[pos[c] for c in columns],
+                      converters={pos[columns[0]]: g.__getitem__, pos[columns[1]]: h.__getitem__},
+                      delimiter=",", quotechar='"', comments=None, ndmin=1)
 
 
 def _usable_cpus() -> int:
@@ -402,92 +382,112 @@ def _forked(fn, items: int, jobs: int) -> list:
     return results
 
 
-_RANGE_BYTES = 4 << 20  # the body bytes that one np.loadtxt call of _load_ranges reads at most
+_RANGE_BYTES = 4 << 20  # the bytes of a range, unless one record is longer
+_LINE_END = re.compile(rb"[\r\n]")
+_LF_BEFORE_LINE_END = re.compile(rb"\n(?=[\r\n])")  # each ends a line that an empty one follows
+_CR_BEFORE_CR = re.compile(rb"\r(?=\r)")
+_QUOTED = re.compile(rb'"(?<![^,\r\n]")[^"]*(?:""[^"]*)*(?:"|\Z)')  # see _ranges
 
 
-def _ranges(path) -> list[tuple[int, int]] | None:
-    """(byte offset, row count) of each range of the body, or None for one.
+def _ranges(path) -> list[tuple[int, int, int]]:
+    """(first byte, end byte, record count) of each range of the body that
+    holds a record, in file order; a header-only file has none.
 
-    The file is read into one buffer of ``_RANGE_BYTES``; each range is the
-    part of a read that ends at its last newline, and holds at least one
-    row. A body that fits in one range is one range, as is any body where a
-    cut could split a record or miscount its rows: a quote character in the
-    header or body, a carriage return that does not end a line, an empty
-    line (``np.loadtxt`` skips those without counting them towards
-    ``max_rows``) or a line longer than a range.
+    In each read of ``_RANGE_BYTES``, a line end inside a field that
+    ``_QUOTED`` finds is made a ``q``. It finds, in one pass, the fields that
+    numpy's reader and csv.reader quote: a quote opens one only as its first
+    byte (``ab"c`` is text), two in it stand for one, and the last may run
+    to the end. The header then ends at the first line end, and a range at
+    the last in its first ``_RANGE_BYTES``: a ``\\n`` or a ``\\r``, where
+    ``np.loadtxt`` ends a record. A longer record is read again into a
+    buffer twice as long, and its range ends with it.
     """
-    ranges = []
-    buf = bytearray(_RANGE_BYTES)
+    ranges, buf, body = [], bytearray(_RANGE_BYTES), False
     with open(path, "rb") as fh:
-        size = fh.readinto(buf)
-        start = len(codecs.BOM_UTF8) if buf.startswith(codecs.BOM_UTF8, 0, size) else 0
-        offset = buf.find(b"\n", start, size) + 1  # the first range starts after the header
-        if not offset or not _plain(buf, start, offset):
-            return None
+        offset = len(codecs.BOM_UTF8) if fh.read(3) == codecs.BOM_UTF8 else 0
         while True:
             fh.seek(offset)
             size = fh.readinto(buf)
-            last = size < _RANGE_BYTES
-            end = size if last else buf.rfind(b"\n", 0, size) + 1
-            if (not end and not last) or not _plain(buf, 0, end):
-                return None
-            rows = buf.count(b"\n", 0, end)
-            if last and end and buf[end - 1] != ord("\n"):
-                rows += 1  # a last line with no newline
-            if rows:
-                ranges.append((offset, rows))
-            if last:
-                return ranges if len(ranges) > 1 else None
-            offset += end
+            last = size < len(buf)
+            quoted = _QUOTED.findall(buf, 0, size) if buf.find(b'"', 0, size) >= 0 else []
+            text = _QUOTED.sub(lambda field: re.sub(rb"[\r\n]", b"q", field[0]), buf[:size]) \
+                if _LINE_END.search(b"".join(quoted)) else buf
+            head = min(size, _RANGE_BYTES) if body else 0  # the header ends at its first line end
+            end = size if last and size == head else max(
+                text.rfind(b"\n", 0, head), text.rfind(b"\r", 0, head)) + 1
+            if not end:
+                first = _LINE_END.search(text, 0, size)
+                end = first.end() if first else size if last else 0
+            if not end and not last:  # a record longer than the buffer
+                buf = bytearray(2 * len(buf))
+                continue
+            if body and (rows := _count(text, end)):
+                ranges.append((offset, offset + end, rows))
+            if last and end == size:
+                return ranges
+            del buf[_RANGE_BYTES:]  # back to one range after a longer record
+            offset, body = offset + end, True
 
 
-_EMPTY_LINE = re.compile(rb"\n\r?\n")
+def _count(text, end: int) -> int:
+    """The records of text[:end], which starts a record and has no line end
+    in a quoted field, as ``np.loadtxt`` counts them: a ``\\n``, ``\\r\\n``
+    or bare ``\\r`` ends each line, and an empty line is none."""
+    records = text.count(b"\n", 0, end) - len(_LF_BEFORE_LINE_END.findall(text, 0, end))
+    if text.find(b"\r", 0, end) >= 0:
+        records += (text.count(b"\r", 0, end) - text.count(b"\r\n", 0, end)
+                    - len(_CR_BEFORE_CR.findall(text, 0, end)))
+    return (records - text.startswith((b"\n", b"\r"), 0, end)
+            + (end > 0 and text[end - 1] not in b"\r\n"))
 
 
-def _plain(buf: bytearray, start: int, end: int) -> bool:
-    """Whether buf[start:end], which starts a line, has no quote character,
-    no carriage return outside a CRLF and no empty line. Each test but
-    the CRLF count is one scan that stops at the first match."""
-    return (buf.find(b'"', start, end) < 0
-            and (buf.find(b"\r", start, end) < 0
-                 or buf.count(b"\r", start, end) == buf.count(b"\r\n", start, end))
-            and not buf.startswith((b"\n", b"\r\n"), start, end)
-            and not _EMPTY_LINE.search(buf, start, end))
+class _Span(io.RawIOBase):
+    """The bytes ``start`` to ``stop`` of binary file ``raw``."""
+
+    def __init__(self, raw, start: int, stop: int):
+        self.raw, self.left = raw, stop - raw.seek(start)
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, b) -> int:
+        n = self.raw.readinto(memoryview(b)[:self.left])
+        self.left -= n
+        return n
 
 
 def _load_ranges(path, ranges: list, pos: dict, columns: list):
     """``_load_columns`` of a body cut into ``ranges``, parsed by ``_forked``
-    on every usable CPU.
+    on every usable CPU; a body of one range is parsed in this process.
 
     The four arrays are made once, at their final size, as views of one
     anonymous shared mmap: g and h, y, then x. Each group of ranges is
     parsed in place, by this process or a forked one, which inherits the
-    block without naming it and runs only numpy's reader. Each group maps
-    its labels through its own ``_LabelIndex`` and returns their
-    first-appearance order; the labels are merged in group order, which
-    keeps the file's first-appearance order, and each group's indices are
-    remapped in place. A ValueError in any range is raised here.
+    block without naming it and runs only numpy's reader, which reads each
+    range to its end through a ``_Span``; a record count other than
+    ``_ranges``'s, more or fewer, is a ValueError. Each group's labels are
+    merged in group order, keeping the file's first-appearance order, and
+    its indices are remapped in place.
     """
-    n = sum(rows for _, rows in ranges)
+    n = sum(rows for *_, rows in ranges)
     d = len(columns) - 3
-    block = mmap.mmap(-1, 8 * n * (d + 3))
+    block = mmap.mmap(-1, max(1, 8 * n * (d + 3)))  # a byte for a header-only file
     g_idx, h_idx = (np.frombuffer(block, np.intp, n, 8 * n * k) for k in range(2))
     y = np.frombuffer(block, np.float64, n, 16 * n)
     x = np.frombuffer(block, np.float64, n * d, 24 * n).reshape(n, d)
-    starts = [0, *itertools.accumulate(rows for _, rows in ranges)]  # each range's first row
+    starts = [0, *itertools.accumulate(rows for *_, rows in ranges)]  # each range's first row
 
     def parse(first: int, stop: int):
         """Parse ranges first..stop-1; their rows and the order of their g
         and h labels."""
         g, h = _LabelIndex(), _LabelIndex()
         for k in range(first, stop):
-            offset, rows = ranges[k]
-            with open(path, "rb") as raw:
-                raw.seek(offset)
-                fh = io.TextIOWrapper(raw, encoding="utf-8", newline="")
-                records = _records(fh, pos, columns, g, h, max_rows=rows)
+            start, end, rows = ranges[k]
+            with open(path, "rb", buffering=0) as raw:
+                fh = io.TextIOWrapper(_Span(raw, start, end), encoding="utf-8", newline="")
+                records = _records(fh, pos, columns, g, h)
             if len(records) != rows:
-                raise ValueError(f"range at byte {offset} read {len(records)} of {rows} rows")
+                raise ValueError(f"range at byte {start} read {len(records)} of {rows} rows")
             lo, hi = starts[k], starts[k + 1]
             g_idx[lo:hi], h_idx[lo:hi] = records["g"], records["h"]
             y[lo:hi] = records["v0"]

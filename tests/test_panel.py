@@ -349,11 +349,19 @@ PARITY_FILES = {
                        '"04",7,7.0,8.0\n-0,-2,9.0,1.0\n', True),
     "late_string_label": ("g,h,y,x1\n" + "".join(f"{g},{h},1.0,2.0\n" for g in range(3)
                                                   for h in range(3)) + "3,z,1.0,2.0\n", True),
-    # np.loadtxt skips an empty line and counts a bare carriage return as a
-    # line end, so a range reader that counts newlines must keep these whole
+    # np.loadtxt skips an empty line and ends a record at a bare carriage
+    # return, but not at a line end inside a quoted field; the quoted ones
+    # put that line end within the first 16 bytes of a range
     "empty_line": ("g,h,y,x1\na,1,1.0,2.0\n\nb,1,3.0,4.0\nc,1,5.0,6.0\n", True),
     "empty_crlf_line": ("g,h,y,x1\r\na,1,1.0,2.0\r\n\r\nb,1,3.0,4.0\r\nc,1,5.0,6.0\r\n", True),
     "bare_cr": ("g,h,y,x1\na,1,1,2\rb,1,3,4\nc,1,5,6\nd,1,7,8\n", True),
+    "quoted_lf_at_cut": ('g,h,y,x1\na,1,1.0,2.0\n"x\ny",1,3.0,4.0\nb,2,5.0,6.0\n', True),
+    "quoted_cr_at_cut": ('g,h,y,x1\na,1,1.0,2.0\n"x\ry",1,3.0,4.0\nb,2,5.0,6.0\n', True),
+    "trailing_blank_line": ("g,h,y,x1\na,1,1.0,2.0\nb,1,3.0,4.0\n\n", True),
+    "record_longer_than_a_range": ("g,h,y,x1\na,1,1.0,2.0\n" + "c" * 40 + ",1,3.0,4.0\n"
+                                   "b,2,5.0,6.0\n", True),
+    # a quote inside an unquoted field is a character, and opens no field
+    "mid_field_quote": ('g,h,y,x1\nab"c,1,1.0,2.0\nd,1,3.0,4.0\n"e",1,5.0,6.0\n', True),
 }
 
 
@@ -531,7 +539,7 @@ def load_csv_working_set(tmp_path, labels, cpus):
     real, block = panel_module._load_ranges, []
 
     def load_ranges(path, ranges, pos, columns):
-        block.append(np.empty(sum(rows for _, rows in ranges) * len(columns)))
+        block.append(np.empty(sum(rows for *_, rows in ranges) * len(columns)))
         return real(path, ranges, pos, columns)
 
     with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)), create=True), \
@@ -599,11 +607,9 @@ def test_columnar_matches_row_wise_on_written_panels(tmp_path, panel):
 
 # --- byte-range ingest against the row-wise reference pass ---
 
-# the PARITY_FILES that 16-byte ranges cut into several; each of the others
-# holds a quote, an empty line or a line longer than a range, or one row
-RANGED = {"blank_rows", "crlf", "duplicate_across_blank_row", "duplicate_then_parse_failure",
-          "duplicates_out_of_flat_order", "hash_row_is_data", "late_string_label",
-          "mixed_labels", "nul_in_label", "underscore_numerals", "utf8_bom"}
+# the PARITY_FILES that 16-byte ranges cut into several: every file of two
+# or more records
+RANGED = set(PARITY_FILES) - {"single_row"}
 
 
 @pytest.fixture(params=[1, pytest.param(2, marks=needs_fork)], ids=["1cpu", "2cpus"])
@@ -620,7 +626,7 @@ def test_ranges_match_row_wise(tmp_path, small_ranges, name):
     text, fast = PARITY_FILES[name]
     path = tmp_path / "p.csv"
     path.write_bytes(text.encode("utf-8"))
-    assert (panel_module._ranges(path) is not None) == (name in RANGED)
+    assert (len(panel_module._ranges(path)) > 1) == (name in RANGED)
     assert (columnar(path) if fast else outcome(path)) == row_wise(path)
 
 
@@ -636,8 +642,7 @@ def test_ranges_match_row_wise_on_written_panels(tmp_path, small_ranges, panel):
     # the header, so every body of two or more rows spans two ranges
     longest = max(map(len, data.split(b"\n"))) + 1
     with mock.patch.object(panel_module, "_RANGE_BYTES", longest):
-        if b'"' not in data:
-            assert panel_module._ranges(path) is not None
+        assert len(panel_module._ranges(path)) > 1
         assert columnar(path, schema) == row_wise(path, schema)
 
 
@@ -674,13 +679,17 @@ def test_a_range_that_reads_other_than_its_count_goes_to_the_row_wise_pass(
     path = tmp_path / "p.csv"
     write_lines(path, ["g,h,y,x1", *grid_lines(9, 5)])
     ranges = panel_module._ranges(path)
-    # the last range claims a row more than the file holds
-    monkeypatch.setattr(panel_module, "_ranges", lambda path: [*ranges[:-1], (
-        ranges[-1][0], ranges[-1][1] + 1)])
-    with mock.patch.object(panel_module, "_load_rows", wraps=panel_module._load_rows) as rows:
-        got = outcome(path)
-    rows.assert_called_once()
-    assert got == row_wise(path)
+    *others, (start, end, rows) = ranges
+    expected = row_wise(path)
+    # the last range claims a row more than the file holds, then one fewer
+    for claim in (rows + 1, rows - 1):
+        monkeypatch.setattr(panel_module, "_ranges",
+                            lambda path, claim=claim: [*others, (start, end, claim)])
+        with mock.patch.object(panel_module, "_load_rows", wraps=panel_module._load_rows) as spy:
+            got = outcome(path)
+        spy.assert_called_once()
+        assert got == expected
+        assert load_csv(path, SCHEMA).n == 45
 
 
 def no_fork(method):
@@ -694,7 +703,7 @@ def test_one_cpu_or_one_range_reads_without_a_fork(tmp_path, monkeypatch):
     monkeypatch.setattr(multiprocessing, "get_context", no_fork)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    assert panel_module._ranges(path) is None
+    assert len(panel_module._ranges(path)) == 1
     assert columnar(path) == expected
     monkeypatch.setattr(panel_module, "_RANGE_BYTES", 16)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -948,17 +957,29 @@ def test_forked_raises_the_callers_own_error_and_ends_its_children(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_only_forked_starts_processes():
-    """No function of twqr but panel._forked names a process or pool
-    constructor, so a second fork path cannot grow back unnoticed."""
-    starters = {"get_context", "Process", "Pool", "ProcessPoolExecutor", "Popen", "fork"}
+def toplevel_names_of(names: set) -> set:
+    """(file, top-level definition) of each place in src/twqr that names an
+    attribute or imports a name in ``names``."""
     found = set()
     for path in pathlib.Path(panel_module.__file__).parent.glob("*.py"):
         for top in ast.parse(path.read_text()).body:
             for node in ast.walk(top):
-                names = ([node.attr] if isinstance(node, ast.Attribute)
-                         else [alias.name for alias in node.names]
-                         if isinstance(node, ast.ImportFrom) else [])
-                if starters.intersection(names):
+                used = ([node.attr] if isinstance(node, ast.Attribute)
+                        else [alias.name for alias in node.names]
+                        if isinstance(node, ast.ImportFrom) else [])
+                if names.intersection(used):
                     found.add((path.name, getattr(top, "name", None)))
-    assert found == {("panel.py", "_forked")}
+    return found
+
+
+def test_only_forked_starts_processes():
+    """No function of twqr but panel._forked names a process or pool
+    constructor, so a second fork path cannot grow back unnoticed."""
+    starters = {"get_context", "Process", "Pool", "ProcessPoolExecutor", "Popen", "fork"}
+    assert toplevel_names_of(starters) == {("panel.py", "_forked")}
+
+
+def test_only_records_calls_loadtxt():
+    """No function of twqr but panel._records calls numpy's reader, so a
+    second columnar reader cannot grow back beside the range reader."""
+    assert toplevel_names_of({"loadtxt"}) == {("panel.py", "_records")}
