@@ -664,6 +664,8 @@ def direct_score_variance(config: MonteCarloConfig, tau: float,
                           n_draws: int = 200_000,
                           seed: int | None = None) -> np.ndarray:
     """Unconditional covariance of the score from independent cell draws."""
+    if n_draws < 2:
+        raise InvalidConfig(f"n_draws must be >= 2, got {n_draws}")
     if seed is None:
         seed = config.seed
     w = config.weights

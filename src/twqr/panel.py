@@ -243,7 +243,7 @@ def load_csv(path, schema: dict) -> PanelArray:
     raises. A field that numpy's reader does not parse, or a range that it
     reads as more or fewer records than ``_ranges`` counted, sends the
     whole file to the row-wise pass, which reads it or names the row and
-    column at fault.
+    column at fault; so do g and h in one column, which numpy converts once.
 
     Raises
     ------
@@ -260,7 +260,9 @@ def load_csv(path, schema: dict) -> PanelArray:
             raise MissingColumn(col)
     pos = {col: header.index(col) for col in columns}
     try:
-        g_idx, h_idx, y, x, g_labels, h_labels = _load_columns(path, pos, columns)
+        if pos[g_col] == pos[h_col]:
+            raise ValueError("g and h name one column")
+        g_idx, h_idx, y, x, g_labels, h_labels = _load_ranges(path, _ranges(path), pos, columns)
     except ValueError:
         # Ragged or whitespace-only rows, or numerals that only float()
         # accepts: the row-wise pass reads these or names the bad field.
@@ -283,23 +285,6 @@ class _LabelIndex(dict):
     def __missing__(self, spelling: str) -> int:
         index = self[spelling] = self.labels.setdefault(_parse_label(spelling), len(self.labels))
         return index
-
-
-def _load_columns(path, pos: dict, columns: list):
-    """Column-wise reader for well-formed files: numpy's C reader.
-
-    Returns the g and h indices, y, x and the g and h labels, the first four
-    in the layout ``PanelArray`` keeps, so it stores them as they are. A
-    converter maps each g and h field through a ``_LabelIndex`` as it is
-    read, so every label, integer, text or not ASCII, follows the row-wise
-    rule in one pass. numpy converts only the first use of a file column, so
-    g and h in one column are left to the row-wise pass, as is any field
-    that numpy does not parse (ValueError). ``_load_ranges`` reads the body.
-    """
-    g_col, h_col = columns[:2]
-    if pos[g_col] == pos[h_col]:
-        raise ValueError("g and h name one column")
-    return _load_ranges(path, _ranges(path), pos, columns)
 
 
 def _records(fh, pos: dict, columns: list, g: _LabelIndex, h: _LabelIndex):
@@ -387,6 +372,7 @@ _LINE_END = re.compile(rb"[\r\n]")
 _LF_BEFORE_LINE_END = re.compile(rb"\n(?=[\r\n])")  # each ends a line that an empty one follows
 _CR_BEFORE_CR = re.compile(rb"\r(?=\r)")
 _QUOTED = re.compile(rb'"(?<![^,\r\n]")[^"]*(?:""[^"]*)*(?:"|\Z)')  # see _ranges
+_MASK_LINE_ENDS = bytes.maketrans(b"\r\n", b"qq")  # a quoted field's line ends
 
 
 def _ranges(path) -> list[tuple[int, int, int]]:
@@ -410,7 +396,7 @@ def _ranges(path) -> list[tuple[int, int, int]]:
             size = fh.readinto(buf)
             last = size < len(buf)
             quoted = _QUOTED.findall(buf, 0, size) if buf.find(b'"', 0, size) >= 0 else []
-            text = _QUOTED.sub(lambda field: re.sub(rb"[\r\n]", b"q", field[0]), buf[:size]) \
+            text = _QUOTED.sub(lambda field: field[0].translate(_MASK_LINE_ENDS), buf[:size]) \
                 if _LINE_END.search(b"".join(quoted)) else buf
             head = min(size, _RANGE_BYTES) if body else 0  # the header ends at its first line end
             end = size if last and size == head else max(
@@ -457,11 +443,15 @@ class _Span(io.RawIOBase):
 
 
 def _load_ranges(path, ranges: list, pos: dict, columns: list):
-    """``_load_columns`` of a body cut into ``ranges``, parsed by ``_forked``
-    on every usable CPU; a body of one range is parsed in this process.
+    """numpy's C reader: the g and h indices, y, x and the g and h labels of
+    a body cut into ``ranges``, parsed by ``_forked`` on every usable CPU (a
+    body of one range in this process). A converter maps each g and h field
+    through a ``_LabelIndex`` as it is read, so every label, integer, text
+    or not ASCII, follows the row-wise rule in one pass.
 
-    The four arrays are made once, at their final size, as views of one
-    anonymous shared mmap: g and h, y, then x. Each group of ranges is
+    The four arrays are made once, at their final size and in the layout
+    ``PanelArray`` keeps, so it stores them as they are: views of one
+    anonymous shared mmap, g and h, y, then x. Each group of ranges is
     parsed in place, by this process or a forked one, which inherits the
     block without naming it and runs only numpy's reader, which reads each
     range to its end through a ``_Span``; a record count other than

@@ -35,6 +35,7 @@ select on the sign of ``d_a``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,6 +151,14 @@ def _dual_step(z: np.ndarray, d_z: np.ndarray, w: np.ndarray, d_w: np.ndarray,
     return min(1.0, _STEP_SHRINK * float(min(rz, rw)))
 
 
+def _converged(gap: float, obj: float, gap_tol: float, *violations) -> bool:
+    """Every fit path's stopping rule: the gap is finite, and it and each of
+    ``violations`` (callables returning a largest absolute infeasibility, each
+    called only after those before it pass) are at most gap_tol * (1 + |obj|)."""
+    tol = gap_tol * (1.0 + abs(obj))
+    return math.isfinite(gap) and gap <= tol and all(v() <= tol for v in violations)
+
+
 def _lstsq_start(x, y):
     """The least-squares coefficients; raises RankDeficient when the
     singular values that ``lstsq`` returns give a numeric rank below d."""
@@ -253,12 +262,11 @@ def _interior_point(x, y, tau, gap_tol, max_iter, dual_out=None):
         obj, gap = certified(xl, a)
         if obj < best_obj:
             best_obj, best_lam = obj, lam
-        tol = gap_tol * (1.0 + abs(obj))
         r_p = b_eq - x.T @ a
         # r_d = -y - xl - z + w
         np.add(np.subtract(np.subtract(np.negative(y, r_d), xl, r_d), z, r_d), w, r_d)
-        if (gap <= tol and np.abs(r_p).max(initial=0.0) <= tol
-                and np.abs(r_d, t1).max(initial=0.0) <= tol):
+        if _converged(gap, obj, gap_tol, lambda: np.abs(r_p).max(initial=0.0),
+                      lambda: np.abs(r_d, t1).max(initial=0.0)):
             if dual_out is not None:
                 dual_out[:] = a
             return -lam, rc1.copy(), obj, it - 1, gap, True
@@ -312,7 +320,7 @@ def _interior_point(x, y, tau, gap_tol, max_iter, dual_out=None):
         best_obj, best_lam = obj, lam
     if best_lam is None:  # every objective was inf or nan: report the start's
         best_u = y - x @ beta0
-        return beta0, best_u, float(np.sum(best_u * (tau - (best_u <= 0.0)))), it, gap, False
+        return beta0, best_u, float(np.sum(check_loss(best_u, tau))), it, gap, False
     certified(np.dot(x, best_lam, xl), a)  # the best iterate's residual, into rc1
     return -best_lam, rc1.copy(), best_obj, it, gap, False
 
@@ -355,10 +363,9 @@ def _one_regressor_fit(x, y, tau, gap_tol):
     dual = (float(y[order] @ a) + float(np.maximum(y[x == 0.0], 0.0).sum())
             - (1.0 - tau) * float(y.sum()))
     u = y - x * beta
-    obj = float(np.sum(u * (tau - (u <= 0.0))))
+    obj = float(np.sum(check_loss(u, tau)))
     gap = obj - dual
-    converged = bool(np.isfinite(gap) and gap <= gap_tol * (1.0 + abs(obj)))
-    return np.array([beta]), u, obj, 1, gap, converged
+    return np.array([beta]), u, obj, 1, gap, _converged(gap, obj, gap_tol)
 
 
 def _subsample(n: int, m: int) -> np.ndarray:
@@ -435,9 +442,9 @@ def _preprocessed_fit(x, y, tau, gap_tol, max_iter):
        equals the sum of its cells', so the reduced optimum is the full
        one. The returned residuals, objective and duality gap are the full
        panel's, with the reduced dual scattered back to the cells; the
-       fit is returned only when it passes the full interior point's gap
-       and primal-feasibility test at ``gap_tol``. ``iterations`` is the
-       sum over every inner solve.
+       fit is returned only when ``_converged`` passes it at ``gap_tol``,
+       with the primal infeasibility as its one violation. ``iterations``
+       is the sum over every inner solve.
 
     None is returned, before any solve, when 2 m > n; and when a
     subsample is rank deficient, an inner solve does not converge within
@@ -499,11 +506,10 @@ def _preprocessed_fit(x, y, tau, gap_tol, max_iter):
             wrong = (below & (u > 0.0)) | (above & (u < 0.0))
             count = int(np.count_nonzero(wrong))
             if count == 0:
-                obj = float(np.sum(u * (tau - (u <= 0.0))))
+                obj = float(np.sum(check_loss(u, tau)))
                 gap = obj - (float(y @ a) - (1.0 - tau) * float(y.sum()))
-                tol = gap_tol * (1.0 + abs(obj))
                 r_p = (1.0 - tau) * x.sum(axis=0) - x.T @ a
-                if gap <= tol and np.abs(r_p).max() <= tol:
+                if _converged(gap, obj, gap_tol, lambda: np.abs(r_p).max()):
                     return beta, u, obj, iterations, gap, True
                 return None
             if count > 0.1 * kept:
@@ -524,8 +530,8 @@ def fit_qr(panel: PanelArray, tau: float, gap_tol: float = DEFAULT_GAP_TOL,
     tau : float
         Quantile level in (0, 1).
     gap_tol : float
-        Convergence requires ``gap <= gap_tol * (1 + |objective|)``, a
-        test that is absolute, not relative, when ``|objective| << 1``.
+        Convergence requires a finite ``gap <= gap_tol * (1 + |objective|)``,
+        a test that is absolute, not relative, when ``|objective| << 1``.
     max_iter : int
         Iteration cap. On hitting it the best iterate is returned with
         ``solver.converged = False``; no exception is raised. With

@@ -682,6 +682,12 @@ def test_oracle_rejects_small_outer_sample_and_positional_sizes():
         oracle_variance_components(cfg, 0.5, 10_000)
 
 
+@pytest.mark.parametrize("n_draws", [0, 1])
+def test_direct_score_variance_rejects_fewer_than_two_draws(n_draws):
+    with pytest.raises(InvalidConfig):
+        direct_score_variance(small_config(), 0.5, n_draws=n_draws)
+
+
 def nested_psi_mean(w, tau, q, slope_base, err_base, gen, m, k,
                     draw_row, draw_col, draw_cell):
     """Reference inner integral: mean score over m fresh draws of the

@@ -314,7 +314,7 @@ def outcome(path, schema=SCHEMA):
 
 def row_wise(path, schema=SCHEMA):
     """outcome() with the columnar pass disabled."""
-    with mock.patch.object(panel_module, "_load_columns", side_effect=ValueError):
+    with mock.patch.object(panel_module, "_load_ranges", side_effect=ValueError):
         return outcome(path, schema)
 
 
@@ -957,19 +957,22 @@ def test_forked_raises_the_callers_own_error_and_ends_its_children(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def toplevel_defs_where(matches) -> set:
+    """(file, top-level definition) of each place in src/twqr that holds an
+    ast node for which ``matches`` is true."""
+    return {(path.name, getattr(top, "name", None))
+            for path in pathlib.Path(panel_module.__file__).parent.glob("*.py")
+            for top in ast.parse(path.read_text()).body
+            if any(matches(node) for node in ast.walk(top))}
+
+
 def toplevel_names_of(names: set) -> set:
-    """(file, top-level definition) of each place in src/twqr that names an
-    attribute or imports a name in ``names``."""
-    found = set()
-    for path in pathlib.Path(panel_module.__file__).parent.glob("*.py"):
-        for top in ast.parse(path.read_text()).body:
-            for node in ast.walk(top):
-                used = ([node.attr] if isinstance(node, ast.Attribute)
-                        else [alias.name for alias in node.names]
-                        if isinstance(node, ast.ImportFrom) else [])
-                if names.intersection(used):
-                    found.add((path.name, getattr(top, "name", None)))
-    return found
+    """toplevel_defs_where a node names an attribute or imports a name in
+    ``names``."""
+    return toplevel_defs_where(lambda node: bool(names.intersection(
+        [node.attr] if isinstance(node, ast.Attribute)
+        else [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+        else [])))
 
 
 def test_only_forked_starts_processes():
@@ -983,3 +986,13 @@ def test_only_records_calls_loadtxt():
     """No function of twqr but panel._records calls numpy's reader, so a
     second columnar reader cannot grow back beside the range reader."""
     assert toplevel_names_of({"loadtxt"}) == {("panel.py", "_records")}
+
+
+def test_only_converged_forms_the_gap_tolerance():
+    """No function of twqr but solver._converged multiplies by ``gap_tol``,
+    so the fit paths cannot grow a second stopping rule."""
+    found = toplevel_defs_where(lambda node: isinstance(node, ast.BinOp)
+                                and isinstance(node.op, ast.Mult)
+                                and "gap_tol" in {getattr(node.left, "id", None),
+                                                  getattr(node.right, "id", None)})
+    assert found == {("solver.py", "_converged")}

@@ -770,14 +770,16 @@ def _fields(fit):
             fit.solver.duality_gap, fit.solver.converged)
 
 
-def assert_falls_back(panel, tau, max_iter=DEFAULT_MAX_ITER):
-    """fit_qr returns the full interior point's six fields, bit for bit."""
-    want = _interior_point(panel.x, panel.y, tau, DEFAULT_GAP_TOL, max_iter)
-    got = _fields(fit_qr(panel, tau, max_iter=max_iter))
+def assert_falls_back(panel, tau, max_iter=DEFAULT_MAX_ITER, gap_tol=DEFAULT_GAP_TOL):
+    """fit_qr returns the full interior point's six fields, bit for bit;
+    returns them."""
+    want = _interior_point(panel.x, panel.y, tau, gap_tol, max_iter)
+    got = _fields(fit_qr(panel, tau, gap_tol, max_iter))
     for field, g, w in zip(("beta", "residuals", "objective", "iterations", "gap",
                             "converged"), got, want):
         assert type(g) is type(w), field
         assert np.asarray(g).tobytes() == np.asarray(w).tobytes(), field
+    return got
 
 
 @pytest.mark.parametrize("kind", ["plain", "missing", "heavy_tailed"])
@@ -825,6 +827,42 @@ def test_preprocessing_rank_deficient_subsample_falls_back(monkeypatch):
     solves = _spy(monkeypatch, "_interior_point")
     assert_falls_back(panel, 0.5)
     assert solves[:2] == [m, panel.n]  # the subsample raised RankDeficient
+
+
+def test_preprocessing_without_room_for_a_subsample_falls_back(monkeypatch):
+    # d = 40: m = ((d + 1) n)^(2/3) = 5,593 cells and 2 m > n = 10,201
+    panel = random_panel(np.random.default_rng(99), 101, 101, 40)
+    solves = _spy(monkeypatch, "_interior_point")
+    assert_falls_back(panel, 0.5)
+    assert solves == [panel.n]
+
+
+def test_preprocessing_rank_deficient_reduced_design_falls_back(monkeypatch):
+    # the first reduced solve, the only call given a dual vector, raises
+    real, solves = solver._interior_point, []
+
+    def spy(x, y, tau, gap_tol, max_iter, dual_out=None):
+        solves.append(x.shape[0])
+        if dual_out is not None:
+            raise RankDeficient("reduced design")
+        return real(x, y, tau, gap_tol, max_iter, dual_out)
+
+    monkeypatch.setattr(solver, "_interior_point", spy)
+    panel = _preprocess_panel("plain")
+    assert_falls_back(panel, 0.5)
+    assert len(solves) == 3 and solves[0] == round((4 * panel.n) ** (2 / 3))
+    assert solves[-1] == panel.n
+
+
+def test_preprocessing_missed_certificate_falls_back(monkeypatch):
+    # 1e-14 lies below the reduced solves' 1e-11: the reduced optimum, with
+    # every globbed sign right, misses it on the full panel, which reaches it
+    real, solved = solver._reduced_solve, []
+    monkeypatch.setattr(solver, "_reduced_solve",
+                        lambda *args: solved.append(real(*args)) or solved[-1])
+    fields = assert_falls_back(_preprocess_panel("plain"), 0.5, gap_tol=1e-14)
+    assert len(solved) == 1 and solved[0] is not None
+    assert fields[-1] is True
 
 
 @pytest.mark.parametrize("max_iter", [2, 12])
