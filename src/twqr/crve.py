@@ -126,16 +126,14 @@ _TOTALS = {
     CrveKind.CTW_II: ("row", "col"),
 }
 
-_ROW_TOO_FEW = "row clustering requires G >= 2"
-_COL_TOO_FEW = "column clustering requires H >= 2"
-# Margins each estimator needs at least two clusters in, checked in order,
-# with the error a shortfall raises.
+_TWO_WAY_TOO_FEW = "two-way CRVE requires G >= 2 and H >= 2"
+# Each block's cluster requirement: the margin it needs at least two clusters
+# in, with the error a shortfall raises. A kind checks its blocks in order.
 _NEEDS_TWO = {
-    CrveKind.CTW: {"GH": "two-way CRVE requires G >= 2 and H >= 2"},
-    CrveKind.CG: {"G": _ROW_TOO_FEW},
-    CrveKind.CH: {"H": _COL_TOO_FEW},
-    CrveKind.CI: {},
-    CrveKind.CTW_II: {"G": _ROW_TOO_FEW, "H": _COL_TOO_FEW},
+    "I": ("G", _TWO_WAY_TOO_FEW),
+    "II": ("H", _TWO_WAY_TOO_FEW),
+    "row": ("G", "row clustering requires G >= 2"),
+    "col": ("H", "column clustering requires H >= 2"),
 }
 
 
@@ -202,8 +200,8 @@ def omega_variant(scores: ScoreMatrix, kind: CrveKind) -> OmegaComponents:
     also makes the score array read-only.
     """
     kind = CrveKind(kind)
-    for margins, message in _NEEDS_TWO[kind].items():
-        if min(getattr(scores, m) for m in margins) < 2:
+    for margin, message in (_NEEDS_TWO[b] for b in _TOTALS[kind] if b in _NEEDS_TWO):
+        if getattr(scores, margin) < 2:
             raise TooFewClusters(message)
     blocks, clip_i, clip_ii = _memoised(scores, "_meat_blocks", _build_meat_blocks)
     # reduce, not sum: sum's 0 + x would turn -0.0 entries into 0.0

@@ -22,8 +22,7 @@ building a SeedSequence and a generator for each. Both the size experiment
 and the demo run their replications through one map, ``_replicate``:
 contiguous groups of replications on ``panel._forked``'s processes, with
 every OpenBLAS at one thread. The size experiment asks for ``n_jobs``
-workers; the demo has no such option and uses every CPU the process may
-run on, as the CSV range reader does.
+workers; the demo, like the CSV reader, leaves ``_forked`` one per CPU.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ from .errors import (
     ZeroStdError,
 )
 from .jacobian import powell_jacobian, rule_of_thumb_bandwidth
-from .panel import PanelArray, _forked, _usable_cpus
+from .panel import PanelArray, _forked
 from .solver import _require_tau, fit_qr, score_matrix
 
 __all__ = [
@@ -427,7 +426,7 @@ def _infer(panel: PanelArray, fit, kinds, tests, bandwidth: float | None = None)
     results = {}
     for kind in kinds:
         try:
-            var = sandwich(jac, omega_variant(scores, kind), kind)
+            var = sandwich(jac, omega_variant(scores, kind))
             results[kind] = var, [t_test(fit, var, j, b0) for j, b0 in tests]
         except NumericError as err:
             results[kind] = err
@@ -509,13 +508,13 @@ def _one_blas_thread():
             set_(n)
 
 
-def _replicate(rep_fn, args: tuple, reps: int, n_jobs: int) -> list:
+def _replicate(rep_fn, args: tuple, reps: int, n_jobs: int | None = None) -> list:
     """``rep_fn(*args, rep)`` for each of ``reps`` replications, in order.
 
     Every OpenBLAS runs one thread. ``panel._forked`` cuts the replications
-    into ``min(n_jobs, reps, CPUs)`` contiguous groups, CPUs being
-    ``panel._usable_cpus()``; this process runs the first and forked ones the
-    others, and the rows come back in replication order.
+    into contiguous groups, at most ``n_jobs`` when it is given; this
+    process runs the first and forked ones the others, and the rows come
+    back in replication order.
     """
     with _one_blas_thread():
         groups = _forked(lambda lo, hi: [rep_fn(*args, rep) for rep in range(lo, hi)],
@@ -825,8 +824,7 @@ def nongaussian_demo(G: int, H: int, c: float, reps: int,
     ``_replicate``; the output is byte-identical at any count.
     """
     G, H, c, reps, seed, p_plus = _demo_args(G, H, c, reps, seed)
-    vals = np.array(_replicate(_interaction_estimate, (G, H, p_plus, seed), reps,
-                              _usable_cpus()))
+    vals = np.array(_replicate(_interaction_estimate, (G, H, p_plus, seed), reps))
     empirical = vals[~np.isnan(vals)]
     failures = reps - len(empirical)
     _check_failures(failures, reps)

@@ -306,14 +306,14 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _forked(fn, items: int, jobs: int) -> list:
+def _forked(fn, items: int, jobs: int | None = None) -> list:
     """``fn(lo, hi)`` for each contiguous group ``[lo, hi)`` of
     ``range(items)``, in group order: the one place twqr starts processes.
 
-    There are ``min(jobs, items, _usable_cpus())`` groups, at least one,
-    and one where ``fork`` is unavailable; group k starts at
-    ``items * k // groups``. This process runs the first group and a
-    process forked from it runs each other one, so ``fn`` is never pickled
+    There are ``min(jobs, items, _usable_cpus())`` groups (``jobs`` left
+    out: ``items``), at least one, and one where ``fork`` is unavailable;
+    group k starts at ``items * k // groups``. This process runs the first
+    group and a forked process each other one, so ``fn`` is never pickled
     and may be a closure, but its results are. Fork, not spawn: a spawned
     worker re-imports numpy, scipy and twqr, about half a second each.
 
@@ -324,7 +324,7 @@ def _forked(fn, items: int, jobs: int) -> list:
     exit code.
     """
     fork = "fork" in multiprocessing.get_all_start_methods()
-    groups = max(1, min(jobs, items, _usable_cpus())) if fork else 1
+    groups = max(1, min(items if jobs is None else jobs, items, _usable_cpus())) if fork else 1
     bounds = [items * k // groups for k in range(groups + 1)]
 
     def child(group: int, send) -> None:
@@ -487,7 +487,7 @@ def _load_ranges(path, ranges: list, pos: dict, columns: list):
         return slice(starts[first], starts[stop]), tuple(g.labels), tuple(h.labels)
 
     g_labels, h_labels = {}, {}
-    for rows, *local in _forked(parse, len(ranges), len(ranges)):
+    for rows, *local in _forked(parse, len(ranges)):
         for labels, index, idx in zip(local, (g_labels, h_labels), (g_idx, h_idx)):
             remap = np.array([index.setdefault(label, len(index)) for label in labels], np.intp)
             # mode="clip" writes out as it goes; "raise" would buffer a copy of it
@@ -574,15 +574,15 @@ def write_csv(panel: PanelArray, path, schema: dict | None = None) -> None:
     labels are quoted as ``_csv_field`` quotes them, a bare carriage return
     included.
 
-    ``_forked`` cuts the chunks into contiguous groups, at most one per CPU
-    the process may run on (``_usable_cpus()``). This process writes the
-    header and formats the first group straight into the output file; each
-    other group is formatted by a forked process into its own file in a
-    scratch ``tempfile.TemporaryDirectory``. Once every group has ended, this
-    process appends those files in group order, a bounded buffer at a
-    time, and removes the directory. The bytes are the same at any CPU count. An
-    error in a forked group is raised by ``_forked``'s rule: an OSError
-    there is a ChildProcessError here, which is itself an OSError.
+    ``_forked`` cuts the chunks into contiguous groups, at most one per CPU.
+    This process writes the header and formats the first group straight
+    into the output file; a forked process formats each other group into
+    its own file in a hidden scratch directory beside ``path``, not in the
+    system temp directory. Once every group has ended, this process appends
+    those files in group order, a bounded buffer at a time, and removes the
+    directory. The bytes are the same at any CPU count. An error in a
+    forked group is raised by ``_forked``'s rule: an OSError there is a
+    ChildProcessError here, which is itself an OSError.
 
     The file is written through ``_replacing``, so ``path`` holds either the
     whole new file or what it held before the call.
@@ -607,7 +607,9 @@ def write_csv(panel: PanelArray, path, schema: dict | None = None) -> None:
             ]
             fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
-    with _replacing(path) as fh, tempfile.TemporaryDirectory() as scratch:
+    head, tail = os.path.split(os.fspath(path))
+    with _replacing(path) as fh, tempfile.TemporaryDirectory(
+            prefix=f".{tail}.", suffix=".parts", dir=head or os.curdir) as scratch:
         fh.write(header + "\n")
         fh.flush()  # before the fork, so no copy of this buffer holds the header
 
@@ -620,7 +622,7 @@ def write_csv(panel: PanelArray, path, schema: dict | None = None) -> None:
                 write_chunks(out, lo, hi)
             return part
 
-        parts = _forked(write_group, -(-panel.n // _WRITE_CHUNK_ROWS), _usable_cpus())
+        parts = _forked(write_group, -(-panel.n // _WRITE_CHUNK_ROWS))
         fh.flush()
         for part in parts[1:]:
             with open(part, "rb") as src:

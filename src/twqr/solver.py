@@ -389,7 +389,7 @@ def _scaled_residuals(x, y, beta, factor):
     return np.divide(np.subtract(y, resid, resid), band, band)
 
 
-def _reduced_solve(x, y, tau, max_iter, below, above):
+def _reduced_solve(x, y, tau, gap_tol, max_iter, below, above):
     """Solve the LP on the cells in neither mask plus one pseudo-cell per
     nonempty mask, the sum of its cells' x and y; returns beta, the
     iterations and the reduced dual scattered back to the n cells (a
@@ -404,7 +404,7 @@ def _reduced_solve(x, y, tau, max_iter, below, above):
     a_r = np.empty(y_r.size)
     try:
         beta, _, _, iterations, _, converged = _interior_point(
-            x_r, y_r, tau, _PREPROCESS_GAP_TOL, max_iter, a_r)
+            x_r, y_r, tau, min(gap_tol, _PREPROCESS_GAP_TOL), max_iter, a_r)
     except RankDeficient:
         return None
     if not converged:
@@ -433,11 +433,12 @@ def _preprocessed_fit(x, y, tau, gap_tol, max_iter):
        globbed into one pseudo-cell, the sum of their x and y, and those
        above into another.
     3. ``_interior_point`` solves that reduced LP at a tolerance of
-       ``_PREPROCESS_GAP_TOL``. At the reduced optimum every globbed cell
-       whose residual has the wrong sign (positive below, negative above)
-       moves into the kept cells and the LP is solved again, at most
-       ``_MAX_FIXUPS`` times. More than 0.1 * 0.8 m wrong signs, or a
-       fix-up too many, starts over from a subsample of 2 m.
+       ``_PREPROCESS_GAP_TOL``, or ``gap_tol`` when that is tighter. At the
+       reduced optimum every globbed cell whose residual has the wrong sign
+       (positive below, negative above) moves into the kept cells and the
+       LP is solved again, at most ``_MAX_FIXUPS`` times. More than
+       0.1 * 0.8 m wrong signs, or a fix-up too many, starts over from a
+       subsample of 2 m.
     4. With every globbed sign right, the check loss of each pseudo-cell
        equals the sum of its cells', so the reduced optimum is the full
        one. The returned residuals, objective and duality gap are the full
@@ -497,7 +498,7 @@ def _preprocessed_fit(x, y, tau, gap_tol, max_iter):
         below, above = scaled < lo, scaled > hi
         del scaled
         for _ in range(_MAX_FIXUPS + 1):
-            solved = _reduced_solve(x, y, tau, max_iter, below, above)
+            solved = _reduced_solve(x, y, tau, gap_tol, max_iter, below, above)
             if solved is None:
                 return None
             beta, its, a = solved

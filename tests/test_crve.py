@@ -249,6 +249,29 @@ def test_omega_too_few_clusters():
     assert omega_variant(sm_one_row, CrveKind.CI).omega_total.shape == (1, 1)
 
 
+TWO_WAY_TOO_FEW = "two-way CRVE requires G >= 2 and H >= 2"
+ROW_TOO_FEW = "row clustering requires G >= 2"
+COL_TOO_FEW = "column clustering requires H >= 2"
+
+
+@pytest.mark.parametrize("G, H, messages", [
+    (1, 3, {"ctw": TWO_WAY_TOO_FEW, "cg": ROW_TOO_FEW, "ctw2": ROW_TOO_FEW}),
+    (3, 1, {"ctw": TWO_WAY_TOO_FEW, "ch": COL_TOO_FEW, "ctw2": COL_TOO_FEW}),
+    (1, 1, {"ctw": TWO_WAY_TOO_FEW, "cg": ROW_TOO_FEW, "ch": COL_TOO_FEW, "ctw2": ROW_TOO_FEW}),
+])
+def test_omega_too_few_clusters_message_per_kind(G, H, messages):
+    # each kind's message, the row one first where both margins fall short;
+    # a kind not named succeeds
+    sm = random_scores(np.random.default_rng(G + 2 * H), G, H, 2)
+    for kind in ALL_KINDS:
+        if kind.value in messages:
+            with pytest.raises(TooFewClusters) as err:
+                omega_variant(sm, kind)
+            assert str(err.value) == messages[kind.value]
+        else:
+            assert omega_variant(sm, kind).omega_total.shape == (2, 2)
+
+
 def omega_outcome(sm, kind):
     """Every field of ``omega_variant(sm, kind)`` as bytes, or the error raised."""
     try:

@@ -800,6 +800,7 @@ def test_write_csv_raises_a_forked_groups_error_and_leaves_nothing_behind(
         write_csv(y_as_row(30_000), tmp_path / "p.csv")
     assert isinstance(err.value, OSError)
     assert list(scratch.iterdir()) == []
+    assert list(tmp_path.iterdir()) == [scratch]
     assert multiprocessing.active_children() == []
 
 
@@ -855,7 +856,24 @@ def test_write_csv_raises_its_own_groups_error_and_ends_its_children(tmp_path, m
     assert type(err.value) is OSError
     assert time.monotonic() - start < 30  # the child was ended, not waited for
     assert list(scratch.iterdir()) == []
+    assert list(tmp_path.iterdir()) == [scratch]
     assert multiprocessing.active_children() == []
+
+
+def test_write_csv_keeps_its_parts_beside_the_target(tmp_path, monkeypatch):
+    """The forked groups' parts go in a hidden directory beside the target,
+    not in the system temp directory: with that one missing, the bytes are
+    the same at one and two CPUs, a relative target included, and nothing
+    is left beside them."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+    monkeypatch.chdir(tmp_path)
+    panel = dgp_panel(160, 3)
+    for cpus, path in ((1, tmp_path / "1.csv"), (2, "2.csv")):
+        allow_cpus(monkeypatch, cpus)
+        write_csv(panel, path)
+    assert hashlib.sha256((tmp_path / "1.csv").read_bytes()).hexdigest() == DGP_160_SHA256
+    assert (tmp_path / "2.csv").read_bytes() == (tmp_path / "1.csv").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["1.csv", "2.csv"]
 
 
 def test_write_csv_working_set_does_not_grow_with_cpus(tmp_path, monkeypatch):
@@ -883,7 +901,8 @@ def where(lo, hi):
 
 @needs_fork
 @pytest.mark.parametrize("items, jobs, cpus, groups", [(7, 8, 3, [(0, 2), (2, 4), (4, 7)]),
-                                                       (7, 2, 8, [(0, 3), (3, 7)])])
+                                                       (7, 2, 8, [(0, 3), (3, 7)]),
+                                                       (7, None, 3, [(0, 2), (2, 4), (4, 7)])])
 def test_forked_runs_the_first_group_here_and_the_others_in_children(
         monkeypatch, items, jobs, cpus, groups):
     allow_cpus(monkeypatch, cpus)
@@ -894,7 +913,8 @@ def test_forked_runs_the_first_group_here_and_the_others_in_children(
 
 
 @pytest.mark.parametrize("items, jobs, methods", [(0, 4, ["fork"]), (1, 4, ["fork"]),
-                                                  (9, 1, ["fork"]), (9, 4, ["spawn"])])
+                                                  (9, 1, ["fork"]), (9, 4, ["spawn"]),
+                                                  (0, None, ["fork"]), (1, None, ["fork"])])
 def test_forked_runs_one_group_here_without_a_fork(monkeypatch, items, jobs, methods):
     allow_cpus(monkeypatch, 8)
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
@@ -980,6 +1000,15 @@ def test_only_forked_starts_processes():
     constructor, so a second fork path cannot grow back unnoticed."""
     starters = {"get_context", "Process", "Pool", "ProcessPoolExecutor", "Popen", "fork"}
     assert toplevel_names_of(starters) == {("panel.py", "_forked")}
+
+
+def test_only_forked_and_resolve_threads_read_the_cpu_count():
+    """No function of twqr but panel._forked and cli._resolve_threads calls
+    panel._usable_cpus, so no caller of _forked restates the worker count
+    it derives."""
+    found = toplevel_defs_where(lambda node: isinstance(node, ast.Call) and "_usable_cpus" in {
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)})
+    assert found == {("panel.py", "_forked"), ("cli.py", "_resolve_threads")}
 
 
 def test_only_records_calls_loadtxt():

@@ -855,14 +855,30 @@ def test_preprocessing_rank_deficient_reduced_design_falls_back(monkeypatch):
 
 
 def test_preprocessing_missed_certificate_falls_back(monkeypatch):
-    # 1e-14 lies below the reduced solves' 1e-11: the reduced optimum, with
-    # every globbed sign right, misses it on the full panel, which reaches it
+    # the reduced dual scaled by 1 - 1e-6: every globbed sign is right, but
+    # the full panel's certificate misses, and the full solve reaches it
     real, solved = solver._reduced_solve, []
-    monkeypatch.setattr(solver, "_reduced_solve",
-                        lambda *args: solved.append(real(*args)) or solved[-1])
-    fields = assert_falls_back(_preprocess_panel("plain"), 0.5, gap_tol=1e-14)
+
+    def scaled_dual(*args):
+        solved.append(real(*args))
+        beta, iterations, a = solved[-1]
+        return beta, iterations, a * (1.0 - 1e-6)
+
+    monkeypatch.setattr(solver, "_reduced_solve", scaled_dual)
+    fields = assert_falls_back(_preprocess_panel("plain"), 0.5)
     assert len(solved) == 1 and solved[0] is not None
     assert fields[-1] is True
+
+
+def test_preprocessing_certifies_a_tolerance_below_its_own(monkeypatch):
+    # at 1e-14, below _PREPROCESS_GAP_TOL, the reduced solves run at 1e-14
+    # and the path certifies the full panel without solving it
+    panel = _preprocess_panel("plain")
+    solves = _spy(monkeypatch, "_interior_point")
+    fit = fit_qr(panel, 0.5, gap_tol=1e-14)
+    assert fit.solver.converged is True
+    assert fit.solver.duality_gap <= 1e-14 * (1.0 + abs(fit.objective))
+    assert len(solves) >= 2 and max(solves) < panel.n / 2
 
 
 @pytest.mark.parametrize("max_iter", [2, 12])
