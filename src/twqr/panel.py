@@ -68,7 +68,7 @@ class PanelArray:
         Dense cluster index of each present cell.
     y : ndarray, shape (n,)
         Responses.
-    x : ndarray, shape (n, d)
+    x : ndarray, shape (n, d), d >= 1
         Regressors. An intercept is never injected; supply a constant
         column explicitly.
     g_labels, h_labels : tuple
@@ -167,8 +167,8 @@ def _values(y, x) -> tuple[np.ndarray, np.ndarray]:
     """y and x as C-contiguous float64 arrays, a vector and a matrix."""
     y = np.ascontiguousarray(y, dtype=np.float64)
     x = np.ascontiguousarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise DimensionMismatch("x must be a 2-D array of shape (n, d)")
+    if x.ndim != 2 or x.shape[1] == 0:
+        raise DimensionMismatch("x must be a 2-D array of shape (n, d), d >= 1")
     if y.ndim != 1:
         raise DimensionMismatch("y must be a 1-D array of shape (n,)")
     return y, x

@@ -710,6 +710,38 @@ def test_simulate_preprocessed_fits_are_identical_across_workers(tmp_path, capsy
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+DESIGNS = sorted((REPO / "docs" / "designs").glob("*.json"))
+
+
+def test_designs_are_checked_in():
+    assert DESIGNS
+
+
+@pytest.mark.parametrize("design", DESIGNS, ids=lambda path: path.stem)
+def test_checked_in_design_runs_alike_at_one_and_two_workers(tmp_path, capsys, design):
+    # each design at 4 replications; docs/designs/test_regenerate.py reruns
+    # them in full against the checked-in reports
+    doc = json.loads(design.read_text(encoding="utf-8"))
+    validate_against("simulate_config.schema.json", doc)
+    doc["reps"] = 4
+    for entry in doc.get("grid", []):
+        if "reps" in entry:
+            entry["reps"] = 4
+    cfg = tmp_path / "design.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    outs = [tmp_path / "t1", tmp_path / "t2"]
+    for out, threads in zip(outs, ("1", "2")):
+        assert main(["simulate", str(cfg), "--out", str(out), "--threads", threads]) == 0
+    capsys.readouterr()
+    for name in ("report.csv", "report.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    # the checked-in report is this design's, up to its replication count
+    checked_in = json.loads((design.with_suffix("") / "report.json").read_text(encoding="utf-8"))
+    short = json.loads((outs[0] / "report.json").read_text(encoding="utf-8"))
+    assert ([{**r["config"], "reps": 4} for r in checked_in["reports"]]
+            == [r["config"] for r in short["reports"]])
+
+
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_simulate_that_fails_mid_write_leaves_whole_reports_or_none(
         tmp_path, capsys, monkeypatch, cpus):

@@ -740,8 +740,12 @@ def test_score_matrix_rejects_wrong_beta_length():
 def _preprocess_panel(kind):
     """Panels just above the preprocessing threshold, d = 3: a full 101 x 101
     grid; a 115 x 115 grid with about 20% of its cells missing; and Cauchy
-    slopes, whose x has no mean."""
+    slopes, whose x has no mean. Two more, d = 4 on the 101 x 101 grid,
+    take the doubled subsample at tau = 0.5: normal slopes with 1% of rows
+    scaled by 50 and errors scaled by 1 + |x_1|; and binary slopes with
+    rounded, integer responses."""
     rng = np.random.default_rng(97)
+    n = 101 * 101
     if kind == "plain":
         return random_panel(rng, 101, 101, 3)
     if kind == "missing":
@@ -749,8 +753,17 @@ def _preprocess_panel(kind):
         keep = rng.random(full.n) >= 0.2
         return PanelArray(G=115, H=115, g_idx=full.g_idx[keep], h_idx=full.h_idx[keep],
                           y=full.y[keep], x=full.x[keep])
-    x = np.column_stack([np.ones(101 * 101), rng.standard_cauchy((101 * 101, 2))])
-    return grid_panel(101, 101, x, x.sum(axis=1) + rng.standard_normal(101 * 101))
+    if kind == "leverage":
+        z = rng.standard_normal((n, 3))
+        z[rng.random(n) < 0.01] *= 50.0
+        x = np.column_stack([np.ones(n), z])
+        return grid_panel(101, 101, x, x.sum(axis=1)
+                          + (1.0 + np.abs(x[:, 1])) * rng.standard_normal(n))
+    if kind == "integer":
+        x = np.column_stack([np.ones(n), rng.random((n, 3)) < 0.3]).astype(float)
+        return grid_panel(101, 101, x, np.round(x.sum(axis=1) + 2.0 * rng.standard_normal(n)))
+    x = np.column_stack([np.ones(n), rng.standard_cauchy((n, 2))])
+    return grid_panel(101, 101, x, x.sum(axis=1) + rng.standard_normal(n))
 
 
 def _spy(monkeypatch, name):
@@ -782,10 +795,8 @@ def assert_falls_back(panel, tau, max_iter=DEFAULT_MAX_ITER, gap_tol=DEFAULT_GAP
     return got
 
 
-@pytest.mark.parametrize("kind", ["plain", "missing", "heavy_tailed"])
-@pytest.mark.parametrize("tau", [0.1, 0.5, 0.9])
-def test_preprocessed_fit_is_optimal(monkeypatch, kind, tau):
-    panel = _preprocess_panel(kind)
+def assert_preprocessed_optimum(monkeypatch, panel, tau):
+    """fit_qr certifies the LP optimum without solving the full panel."""
     assert panel.n >= solver._PREPROCESS_MIN_N
     solves = _spy(monkeypatch, "_interior_point")
     fit = fit_qr(panel, tau)
@@ -799,6 +810,24 @@ def test_preprocessed_fit_is_optimal(monkeypatch, kind, tau):
     lp = lp_objective(panel, tau, method="highs-ipm")
     slack = 1e-9 * (1.0 + abs(lp))
     assert lp - slack <= fit.objective <= lp + fit.solver.duality_gap + slack
+
+
+@pytest.mark.parametrize("kind", ["plain", "missing", "heavy_tailed"])
+@pytest.mark.parametrize("tau", [0.1, 0.5, 0.9])
+def test_preprocessed_fit_is_optimal(monkeypatch, kind, tau):
+    assert_preprocessed_optimum(monkeypatch, _preprocess_panel(kind), tau)
+
+
+@pytest.mark.parametrize("kind", ["leverage", "integer"])
+def test_preprocessing_retries_at_a_doubled_subsample(monkeypatch, kind):
+    # the first subsample's reduced optimum leaves more than 0.1 * kept
+    # globbed signs wrong, and the doubled subsample's certifies
+    panel = _preprocess_panel(kind)
+    m = round((5 * panel.n) ** (2 / 3))
+    sizes, real = [], solver._subsample
+    monkeypatch.setattr(solver, "_subsample", lambda n, size: sizes.append(size) or real(n, size))
+    assert_preprocessed_optimum(monkeypatch, panel, 0.5)
+    assert sizes == [m, 2 * m]
 
 
 def test_preprocessed_fit_is_deterministic():
@@ -900,6 +929,27 @@ def test_preprocessing_with_too_many_wrong_signs_falls_back(monkeypatch):
     assert len(reduced) == 2
 
 
+def test_preprocessing_out_of_fix_ups_falls_back(monkeypatch):
+    # each reduced beta's intercept is raised until the five smallest
+    # residuals globbed above the fit turn negative: a few wrong signs every
+    # round, far below 0.1 * kept, so the fix-ups run out at both subsample
+    # sizes
+    panel = _preprocess_panel("plain")
+    real, solved = solver._reduced_solve, []
+
+    def shifted(x, y, tau, gap_tol, max_iter, below, above):
+        beta, iterations, a = real(x, y, tau, gap_tol, max_iter, below, above)
+        u = np.sort((y - x @ beta)[above])[:6]
+        beta = beta.copy()
+        beta[0] += 0.5 * (u[4] + u[5])
+        solved.append(int(np.count_nonzero((y - x @ beta)[above] < 0.0)))
+        return beta, iterations, a
+
+    monkeypatch.setattr(solver, "_reduced_solve", shifted)
+    assert_falls_back(panel, 0.5)
+    assert solved == [5] * (2 * (solver._MAX_FIXUPS + 1))
+
+
 def test_preprocessing_fixes_up_a_few_wrong_signs(monkeypatch):
     # the five cells furthest above the subsample's fit are globbed below it
     panel = _preprocess_panel("plain")
@@ -929,3 +979,34 @@ def test_preprocessing_raises_rank_deficient_where_the_interior_point_does(monke
     assert solves == []
     with pytest.raises(RankDeficient):
         _interior_point(panel.x, panel.y, 0.5, DEFAULT_GAP_TOL, DEFAULT_MAX_ITER)
+
+
+@pytest.mark.parametrize("case", ["sign_flip", "scale_up", "scale_down", "shift",
+                                  "reparametrization"])
+def test_preprocessed_fit_equivariance(monkeypatch, case):
+    # the four Koenker-Bassett properties above, on a panel whose fits all
+    # take the preprocessed path: no interior point solves the full panel
+    panel = _preprocess_panel("plain")
+    x, y = panel.x, panel.y
+    solves = _spy(monkeypatch, "_interior_point")
+    c = 1.0
+    if case == "sign_flip":
+        fit, other = _fit_many(x, -y, 0.25), _fit_many(x, y, 0.75)
+        data_abs = 2 * np.abs(y).sum()
+    elif case.startswith("scale"):
+        c = 2.0 ** (3 if case == "scale_up" else -3)
+        fit, other = _fit_many(x, c * y, 0.5), _fit_many(x, y, 0.5)
+        data_abs = 2 * c * np.abs(y).sum()
+    elif case == "shift":
+        g = np.array([1.5, -2.0, 0.75])
+        shifted = y + x @ g
+        fit, other = _fit_many(x, shifted, 0.3), _fit_many(x, y, 0.3)
+        data_abs = np.abs(y).sum() + np.abs(shifted).sum() + (np.abs(x) @ np.abs(g)).sum()
+    else:
+        a = 2.0 * np.eye(3) + np.random.default_rng(5).uniform(-1.0, 1.0, (3, 3))
+        fit, other = _fit_many(x @ a, y, 0.7), _fit_many(x, y, 0.7)
+        data_abs = 2 * np.abs(y).sum() + sum(
+            (np.abs(x) @ (np.abs(a) @ np.abs(b))).sum()
+            for b in (fit.beta_hat, np.linalg.solve(a, other.beta_hat)))
+    assert max(solves) < panel.n / 2
+    _assert_same_optimum(fit, other, c, data_abs)

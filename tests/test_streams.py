@@ -147,6 +147,7 @@ BAD_CELLS = {
     "0-D y": (np.float64(1.0), np.ones((12, 1))),
     "short x": (np.ones(12), np.ones((11, 1))),
     "1-D x": (np.ones(12), np.ones(12)),
+    "no regressor": (np.ones(12), np.ones((12, 0))),
     "nan y": (np.r_[np.ones(11), np.nan], np.ones((12, 1))),
     "inf y": (np.r_[-np.inf, np.ones(11)], np.ones((12, 1))),
     "nan x": (np.ones(12), np.r_[np.ones(11), np.nan][:, None]),
